@@ -50,7 +50,6 @@ class TransitionLine:
     frequency_hz: float    # ordinary frequency of the transition
     gamma_s: float         # partial decay rate upper -> lower
     d_au: float            # reduced dipole matrix element, |<i||d||k>|, a.u.
-    strength_source: str   # "gamma" or "dipole": which one the file gave
     cal: float = 1.0       # optional strength calibration multiplier
     source: str = ""       # literature citation from the record's comment
 
@@ -277,8 +276,7 @@ def load_species(path: str | Path, use_calibration: bool = False) -> Species:
             # cal multiplies the line strength d^2, so d scales by sqrt(cal)
             d_au = strength * math.sqrt(mult)
             gamma_s = gamma_from_dipole(d_au, frequency_hz, degeneracy)
-        source_kind = "gamma" if strength_key == "gamma_s" else "dipole"
         lines.append(TransitionLine(lower_label, upper_label, frequency_hz,
-                                    gamma_s, d_au, source_kind, cal, comment))
+                                    gamma_s, d_au, cal, comment))
 
     return Species(name, mass_kg, nuclear_spin, tuple(levels), tuple(lines))

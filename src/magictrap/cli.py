@@ -5,22 +5,30 @@ Every dimensioned flag value carries a mandatory unit suffix (700nm,
 34e6hz, 0.5s, 1e-4t, ...). Exit codes: 0 success, 1 validation/usage
 error, 2 numerical failure. Data outputs are byte-identical for identical
 inputs; run metadata goes to a sidecar <out>.meta.json.
+
+Each flag is declared once, in ``COMMANDS``: the argparse subcommands, the
+``--config`` overlay, unit conversion and range checks all come from that
+table, so a runner only sees checked SI values, never raw text.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import math
+import os
 import sys
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .atomdata import data_dir, load_species
-from .constants import PLANCK
 from .cavityqed import (CavitySystem, blockade_detuning, g2_zero, jc_ladder,
                         vacuum_rabi_spectrum)
 from .clockspec import (ClockTransition, NU0_OFFSET_HZ, aggregate_measurements,
@@ -28,8 +36,8 @@ from .clockspec import (ClockTransition, NU0_OFFSET_HZ, aggregate_measurements,
                         read_measurement_ledger, sideband_spectrum,
                         zeeman_multiplet)
 from .errors import NumericalError, ValidationError
-from .fieldtrap import (FieldConfig, GaussianBeam, Lattice1D, lamb_dicke,
-                        peak_intensity, recoil, site_offset, trap_frequencies)
+from .fieldtrap import (FieldConfig, GaussianBeam, Lattice1D, intensity_at, recoil,
+                        trap_parameters)
 from .polarizability import (alpha_scalar, find_magic, scan_delta_alpha,
                              stark_shift)
 
@@ -45,6 +53,13 @@ UNITS = {
     "bfield": {"t": 1.0, "mt": 1e-3, "ut": 1e-6, "gauss": 1e-4},
     "accel": {"mps2": 1.0},
 }
+
+# Size caps: each bounds the work one flag can ask for (grid points, Fock
+# levels, Zeeman lines, worker threads).
+MAX_POINTS = 1_000_000
+MAX_NMAX = 40
+MAX_SPIN = 10
+MAX_JOBS = 64
 
 
 class UsageError(ValidationError):
@@ -67,28 +82,204 @@ def parse_quantity(text: str, dimension: str) -> float:
         f"{', '.join(sorted(table))})")
 
 
-def _quantity(dimension):
-    def convert(text):
-        return parse_quantity(text, dimension)
-    convert.__name__ = dimension
-    return convert
+@dataclass(frozen=True)
+class Flag:
+    """One flag: its argparse form, config key, conversion and checks.
+
+    ``kind`` is a UNITS dimension (converted to SI) or one of "int",
+    "float", "half" (half-integer, '9/2' or '4.5'), "str" and "bool". Every
+    number must be finite, and an "int" whole. ``low`` is the smallest
+    allowed value, itself excluded when ``strict``, so a number must be
+    positive unless its entry says otherwise; ``cap`` is the largest.
+    ``default`` applies when neither argv nor the config section sets it.
+    """
+
+    name: str
+    kind: str
+    help: str
+    default: object = None
+    low: float | None = 0.0
+    strict: bool = True
+    cap: float | None = None
+    required: bool = False
+    dest: str | None = None
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def attr(self) -> str:
+        return self.dest or self.name.lstrip("-").replace("-", "_")
+
+    def convert(self, raw):
+        """Raw argv or config text (None when unset) -> the checked value."""
+        if raw is None:
+            if self.required:
+                raise ValidationError(f"missing required {self.name} (flag or config entry)")
+            return self.default
+        if self.kind in ("str", "bool"):
+            if self.choices and raw not in self.choices:
+                raise ValidationError(
+                    f"{self.name} must be one of {', '.join(self.choices)}, got '{raw}'")
+            return raw
+        try:
+            if self.kind in UNITS:
+                value = parse_quantity(raw, self.kind)
+            else:
+                value = float(Fraction(raw) if self.kind == "half" else raw)
+        except ValidationError as exc:
+            raise ValidationError(f"{self.name}: {exc}") from None
+        except (ValueError, ArithmeticError):  # junk, '9/0', '1e400' as a fraction
+            raise ValidationError(f"{self.name}: '{raw}' is not a finite number") from None
+        step = {"int": 1, "half": 2}.get(self.kind)
+        if not (math.isfinite(value)
+                and (step is None or step * value == int(step * value))
+                and (self.low is None or value > self.low
+                     or (value == self.low and not self.strict))
+                and (self.cap is None or value <= self.cap)):
+            raise ValidationError(f"{self.name} must be {self.allowed()}, got '{raw}'")
+        return int(value) if self.kind == "int" else value
+
+    def allowed(self) -> str:
+        """The values this flag accepts, in words."""
+        words = {"int": "a whole number", "half": "a half-integer"}.get(self.kind, "a finite number")
+        if self.low is not None:
+            words += f" {'>' if self.strict else '>='} {self.low:g}"
+        return words + (f" and <= {self.cap}" if self.cap is not None else "")
 
 
-def _half_integer(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/")
-        return float(int(num)) / float(int(den))
-    return float(text)
+class Command(NamedTuple):
+    help: str
+    section: str                  # the --config section it reads
+    flags: tuple[Flag, ...]
+
+
+def _points(default: int, what: str = "grid points") -> Flag:
+    return Flag("--points", "int", f"{what} (dimensionless, default {default})", default,
+                cap=MAX_POINTS)
+
+
+def _nmax(default: int) -> Flag:
+    return Flag("--nmax", "int", f"Fock truncation (dimensionless, default {default})", default,
+                low=2, strict=False, cap=MAX_NMAX)
+
+
+SPECIES = Flag("--species", "str", "species file or bundled name (e.g. sr87)", required=True)
+JOBS = Flag("--jobs", "int", "worker count; results independent of it (default 1)", 1,
+            cap=MAX_JOBS)
+G0 = Flag("--g0", "frequency", "coupling g0 (frequency, e.g. 34e6hz)", required=True)
+KAPPA = Flag("--kappa", "frequency", "cavity HWHM decay (frequency, e.g. 4.1e6hz)",
+             required=True)
+GAMMA = Flag("--gamma", "frequency", "atomic HWHM decay (frequency, e.g. 2.6e6hz)",
+             required=True)
+FORT_SHIFTS = (
+    Flag("--delta-b", "frequency", "FORT shift of the ground level (frequency, default 0hz)", 0.0,
+         low=None),
+    Flag("--delta-e", "frequency", "FORT shift of the excited level (frequency, default 0hz)", 0.0,
+         low=None))
+COMMON = (
+    Flag("--out", "str", "output file path"),
+    Flag("--format", "str", "output format (csv or json)", "csv", choices=("csv", "json")),
+    Flag("--config", "str", "INI config file with [trap]/[clock]/[cavity]/[scan] sections"),
+    Flag("--verbose", "bool", "chattier summary"))
+
+
+def _scan_flags(verb: str, points: Flag) -> tuple[Flag, ...]:
+    return (SPECIES,
+            Flag("--state1", "str", "first level label (e.g. 1S0)", required=True),
+            Flag("--state2", "str", "second level label (e.g. 3P0)", required=True),
+            Flag("--from", "length", f"{verb} start (length, e.g. 700nm)", dest="lo",
+                 required=True),
+            Flag("--to", "length", f"{verb} end (length, e.g. 900nm)", dest="hi",
+                 required=True),
+            points, JOBS,
+            Flag("--calibrated", "bool", "apply the catalog's documented calibration multiplier"))
+
+
+COMMANDS = {
+    "polarizability": Command("scan two states' polarizabilities", "scan",
+                              _scan_flags("scan", _points(200))),
+    "magic": Command("find magic wavelengths (polarizability crossings)", "scan", (
+        *_scan_flags("search", _points(2000, "scan grid points")),
+        Flag("--scan-out", "str", "also write the delta-alpha scan table (CSV) to this path"))),
+    "trap": Command("trap depth, frequencies, Lamb-Dicke parameter", "trap", (
+        replace(SPECIES, help="species file or bundled name"),
+        Flag("--state", "str", "level label (default: ground level)"),
+        Flag("--lattice-lambda", "length", "trap light wavelength (length, e.g. 813.428nm)",
+             dest="lam", required=True),
+        Flag("--waist", "length", "beam waist w0 (length, e.g. 30um)", required=True),
+        Flag("--power", "power", "single-beam power (power, e.g. 0.5w)", strict=False),
+        Flag("--intensity", "intensity", "single-beam peak intensity (intensity, e.g. 10kw_cm2)",
+             strict=False),
+        Flag("--depth-erec", "float",
+             "trap depth in photon recoils (dimensionless); bypasses power", strict=False),
+        Flag("--gaussian", "bool", "single focused beam instead of the default 1D lattice"),
+        Flag("--probe", "length", "probe wavelength for the Lamb-Dicke parameter "
+             "(length, default: trap wavelength)"),
+        Flag("--gravity", "accel", "local gravity for the site offset "
+             "(accel, e.g. 9.80665mps2; default 0mps2)", 0.0, strict=False))),
+    "clock-line": Command("Rabi lineshape of the clock transition", "clock", (
+        Flag("--duration", "time", "pulse duration (time, e.g. 0.5s)", required=True),
+        Flag("--rabi", "frequency",
+             "Rabi frequency as ordinary frequency (frequency, e.g. 1hz); omit with --pi"),
+        Flag("--pi", "bool", "use a resonant pi pulse (Omega = pi/T)"),
+        Flag("--span", "frequency", "detuning half-span (frequency, default 10hz)", 10.0),
+        _points(801),
+        Flag("--saturation", "float",
+             "saturation scale s, P clamped at 1 (dimensionless, default 1)", 1.0),
+        Flag("--observed-width", "frequency",
+             "optional measured linewidth for the Q report (frequency, e.g. 1.8hz)"))),
+    "zeeman": Command("pi-transition Zeeman multiplet", "clock", (
+        Flag("--spin", "half", "nuclear spin I (half-integer, e.g. 9/2)", 4.5,
+             strict=False, cap=MAX_SPIN),
+        Flag("--dg", "frequency", "differential g splitting per field per m_F "
+             "(frequency per tesla, e.g. 108.4hz)", required=True, low=None),
+        Flag("--field", "bfield", "bias field (bfield, e.g. 0.3mt)", required=True, low=None),
+        Flag("--linewidth", "frequency", "natural linewidth (frequency, default 0.001hz)", 1e-3))),
+    "sidebands": Command("carrier and motional sidebands", "clock", (
+        Flag("--eta", "float", "Lamb-Dicke parameter (dimensionless)", required=True, strict=False),
+        Flag("--nu-z", "frequency", "axial trap frequency (frequency, e.g. 49khz)",
+             required=True),
+        Flag("--nbar", "float", "mean motional occupation (dimensionless)", required=True,
+             strict=False),
+        Flag("--width", "frequency", "feature FWHM (frequency, e.g. 2khz)", required=True),
+        Flag("--span", "frequency", "detuning half-span (frequency, default 1.6x nu_z)"),
+        _points(1001))),
+    "aggregate": Command("weighted mean of absolute-frequency measurements", "clock", (
+        Flag("ledger", "str", "CSV ledger: site,value_hz_minus_nu0,stat_hz,sys_hz"),)),
+    "cavity-spectrum": Command("vacuum-Rabi transmission spectrum", "cavity", (
+        G0, KAPPA, GAMMA, *FORT_SHIFTS, _nmax(5),
+        Flag("--drive", "frequency", "cavity drive amplitude (frequency; default 1e-3 x kappa)"),
+        Flag("--from", "frequency", "probe offset start from bare resonance "
+             "(frequency, default -2 g0)", dest="lo", low=None),
+        Flag("--to", "frequency", "probe offset end (frequency, default +2 g0)", dest="hi",
+             low=None),
+        _points(200),
+        Flag("--g2", "bool", "also compute g2(0) per point"),
+        JOBS)),
+    "blockade": Command("photon blockade g2(0) at the canonical probe points", "cavity", (
+        G0, replace(KAPPA, help="cavity HWHM decay (frequency)"),
+        replace(GAMMA, help="atomic HWHM decay (frequency)"), _nmax(8),
+        Flag("--drive", "frequency", "cavity drive amplitude (frequency; default 0.1 x kappa)"))),
+    "ladder": Command("Jaynes-Cummings manifold eigenvalues", "cavity", (
+        replace(G0, help="coupling g0 (frequency, e.g. 1e6hz)"),
+        Flag("--n", "int", "manifold quanta n >= 1 (dimensionless)", required=True),
+        *FORT_SHIFTS)),
+}
+
+
+def _number(value) -> str:
+    """17 significant digits; a non-finite number is refused."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    x = float(value)
+    if not math.isfinite(x):
+        raise NumericalError(f"refusing to write the non-finite value {x}")
+    return f"{x:.17g}"
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+    return value if isinstance(value, str) else _number(value)
 
 
 def _json_value(value) -> str:
@@ -98,9 +289,41 @@ def _json_value(value) -> str:
         return json.dumps(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+    return _number(value)
+
+
+def _meta(meta: dict | None) -> tuple[dict, str]:
+    """The metadata with tool and version filled in, and its JSON body."""
+    meta = {"tool": "magictrap", "version": __version__, **(meta or {})}
+    return meta, ",".join(f"{json.dumps(k)}:{_json_value(v)}" for k, v in sorted(meta.items()))
+
+
+def _write(path: Path, chunks, meta: dict, argv: list[str] | None) -> None:
+    """Write a data file from an iterable of text chunks, and its
+    <path>.meta.json sidecar.
+
+    Each file goes to a temp file in its own directory and is renamed over
+    the target only when complete, so no reader ever sees a half-written
+    output; when a chunk cannot be formatted (a non-finite number) the temp
+    files are removed and the targets stay as they were.
+    """
+    path = Path(path)
+    try:
+        sidecar = json.dumps({"command": argv or [], **meta}, sort_keys=True, indent=1,
+                             allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"{path}.meta.json: {exc}") from None
+    files = [(path, chunks), (Path(f"{path}.meta.json"), [sidecar])]
+    temps = [target.with_name(f".{target.name}.{os.getpid()}.tmp") for target, _ in files]
+    try:
+        for (_, body), tmp in zip(files, temps):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(body)
+        for (target, _), tmp in zip(files, temps):
+            os.replace(tmp, target)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def emit(columns, rows, fmt: str, path: Path, meta: dict | None = None,
@@ -109,57 +332,35 @@ def emit(columns, rows, fmt: str, path: Path, meta: dict | None = None,
 
     CSV starts with a '# magictrap v<version>' comment and a header row; an
     empty table is header-only. JSON is {meta, columns, rows}. Output bytes
-    depend only on the data; run metadata lands in <path>.meta.json.
+    depend only on the data; run metadata lands in <path>.meta.json. A
+    non-finite number raises NumericalError and leaves no file behind.
     """
-    path = Path(path)
-    meta = dict(meta or {})
-    meta.setdefault("tool", "magictrap")
-    meta.setdefault("version", __version__)
+    meta, meta_text = _meta(meta)
     if fmt == "csv":
-        lines = [f"# magictrap v{__version__}", ",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        head = f"# magictrap v{__version__}\n" + ",".join(columns) + "\n"
+        body = (",".join(map(_fmt, row)) + "\n" for row in rows)
+        tail = ""
     elif fmt == "json":
-        meta_text = ",".join(f"{json.dumps(k)}:{_json_value(v)}"
-                             for k, v in sorted(meta.items()))
-        row_text = ",".join(
-            "[" + ",".join(_json_value(v) for v in row) + "]" for row in rows)
-        col_text = ",".join(json.dumps(c) for c in columns)
-        path.write_text(
-            "{" + f'"meta":{{{meta_text}}},"columns":[{col_text}],"rows":[{row_text}]'
-            + "}\n", encoding="utf-8")
+        head = ('{"meta":{' + meta_text + '},"columns":['
+                + ",".join(json.dumps(c) for c in columns) + '],"rows":[')
+        body = (("," if i else "") + "[" + ",".join(map(_json_value, row)) + "]"
+                for i, row in enumerate(rows))
+        tail = "]}\n"
     else:
         raise ValidationError(f"unknown output format '{fmt}'")
-    sidecar = {"command": argv or [], "tool": "magictrap", "version": __version__}
-    sidecar.update(meta)
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    _write(path, itertools.chain((head,), body, (tail,)), meta, argv)
 
 
 def emit_magic_points(points, path: Path, meta: dict | None = None,
                       argv: list[str] | None = None) -> None:
     """Magic crossings as JSON records {lambda_nm, residual_au, bracket_nm}."""
-    path = Path(path)
-    meta = dict(meta or {})
-    meta.setdefault("tool", "magictrap")
-    meta.setdefault("version", __version__)
-    meta_text = ",".join(f"{json.dumps(k)}:{_json_value(v)}"
-                         for k, v in sorted(meta.items()))
-    recs = []
-    for p in points:
-        recs.append(
-            "{" + f'"lambda_nm":{_json_value(p.wavelength_m * 1e9)},'
-            f'"residual_au":{_json_value(p.residual_au)},'
-            f'"bracket_nm":[{_json_value(p.bracket_m[0] * 1e9)},'
-            f'{_json_value(p.bracket_m[1] * 1e9)}]' + "}")
-    path.write_text(
-        "{" + f'"meta":{{{meta_text}}},"points":[{",".join(recs)}]' + "}\n",
-        encoding="utf-8")
-    sidecar = {"command": argv or [], "tool": "magictrap", "version": __version__}
-    sidecar.update(meta)
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    meta, meta_text = _meta(meta)
+    recs = ",".join(
+        "{" + f'"lambda_nm":{_json_value(p.wavelength_m * 1e9)},'
+        f'"residual_au":{_json_value(p.residual_au)},'
+        f'"bracket_nm":[{_json_value(p.bracket_m[0] * 1e9)},'
+        f'{_json_value(p.bracket_m[1] * 1e9)}]' + "}" for p in points)
+    _write(path, ["{" + f'"meta":{{{meta_text}}},"points":[{recs}]' + "}\n"], meta, argv)
 
 
 def resolve_species(name: str) -> Path:
@@ -180,481 +381,250 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
-CONFIG_SECTION = {
-    "polarizability": "scan", "magic": "scan",
-    "trap": "trap",
-    "clock-line": "clock", "zeeman": "clock", "sidebands": "clock",
-    "aggregate": "clock",
-    "cavity-spectrum": "cavity", "blockade": "cavity", "ladder": "cavity",
-}
-
-
-def _apply_config(args: argparse.Namespace, command: str) -> None:
-    """Fill flags left at None from the [section] of --config, if any."""
-    if not getattr(args, "config", None):
-        return
-    cfg = configparser.ConfigParser()
-    read = cfg.read(args.config)
-    if not read:
-        raise ValidationError(f"config file not found: {args.config}")
-    section = CONFIG_SECTION.get(command)
-    if section is None or not cfg.has_section(section):
-        return
-    for key, raw in cfg.items(section):
-        attr = key.replace("-", "_")
-        if attr.endswith("_hz") and not hasattr(args, attr):
-            attr = attr[:-3]  # accept g0_hz/kappa_hz/... aliases
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, raw)
-
-
-def _coerce(args, attr, converter, default=None):
-    """Convert a flag that may have arrived as raw config text."""
-    value = getattr(args, attr, None)
-    if value is None:
-        return default
-    if isinstance(value, str):
-        return converter(value)
-    return value
-
-
 def build_parser() -> _Parser:
     top = _Parser(prog="magictrap",
                   description="State-insensitive trap toolkit: polarizabilities, "
                               "magic wavelengths, clock spectra, cavity QED.")
     top.add_argument("--version", action="version", version=f"magictrap {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", default=None, choices=("csv", "json"),
-                       help="output format (csv or json)")
-        p.add_argument("--config", default=None,
-                       help="INI config file with [trap]/[clock]/[cavity]/[scan] sections")
-        p.add_argument("--verbose", action="store_true", help="chattier summary")
-
-    p = sub.add_parser("polarizability", help="scan two states' polarizabilities")
-    p.add_argument("--species", default=None, help="species file or bundled name (e.g. sr87)")
-    p.add_argument("--state1", default=None, help="first level label (e.g. 1S0)")
-    p.add_argument("--state2", default=None, help="second level label (e.g. 3P0)")
-    p.add_argument("--from", dest="lo", default=None, help="scan start (length, e.g. 700nm)")
-    p.add_argument("--to", dest="hi", default=None, help="scan end (length, e.g. 900nm)")
-    p.add_argument("--points", default=None, help="grid points (dimensionless, default 200)")
-    p.add_argument("--jobs", default=None, help="worker count; results independent of it (default 1)")
-    p.add_argument("--calibrated", action="store_true",
-                   help="apply the catalog's documented calibration multiplier")
-    common(p)
-
-    p = sub.add_parser("magic", help="find magic wavelengths (polarizability crossings)")
-    p.add_argument("--species", default=None, help="species file or bundled name (e.g. sr87)")
-    p.add_argument("--state1", default=None, help="first level label (e.g. 1S0)")
-    p.add_argument("--state2", default=None, help="second level label (e.g. 3P0)")
-    p.add_argument("--from", dest="lo", default=None, help="search start (length, e.g. 700nm)")
-    p.add_argument("--to", dest="hi", default=None, help="search end (length, e.g. 900nm)")
-    p.add_argument("--points", default=None, help="scan grid points (dimensionless, default 2000)")
-    p.add_argument("--jobs", default=None, help="worker count; results independent of it (default 1)")
-    p.add_argument("--calibrated", action="store_true",
-                   help="apply the catalog's documented calibration multiplier")
-    p.add_argument("--scan-out", dest="scan_out", default=None,
-                   help="also write the delta-alpha scan table (CSV) to this path")
-    common(p)
-
-    p = sub.add_parser("trap", help="trap depth, frequencies, Lamb-Dicke parameter")
-    p.add_argument("--species", default=None, help="species file or bundled name")
-    p.add_argument("--state", default=None, help="level label (default: ground level)")
-    p.add_argument("--lattice-lambda", dest="lam", required=True,
-                   help="trap light wavelength (length, e.g. 813.428nm)")
-    p.add_argument("--waist", default=None, help="beam waist w0 (length, e.g. 30um)")
-    p.add_argument("--power", default=None, help="single-beam power (power, e.g. 0.5w)")
-    p.add_argument("--intensity", default=None,
-                   help="single-beam peak intensity (intensity, e.g. 10kw_cm2)")
-    p.add_argument("--depth-erec", default=None,
-                   help="trap depth in photon recoils (dimensionless); bypasses power")
-    p.add_argument("--gaussian", action="store_true",
-                   help="single focused beam instead of the default 1D lattice")
-    p.add_argument("--probe", default=None,
-                   help="probe wavelength for the Lamb-Dicke parameter (length, default: trap wavelength)")
-    p.add_argument("--gravity", default=None,
-                   help="local gravity for the site offset (accel, e.g. 9.80665mps2; default 0mps2)")
-    common(p)
-
-    p = sub.add_parser("clock-line", help="Rabi lineshape of the clock transition")
-    p.add_argument("--duration", default=None, help="pulse duration (time, e.g. 0.5s)")
-    p.add_argument("--rabi", default=None,
-                   help="Rabi frequency as ordinary frequency (frequency, e.g. 1hz); omit with --pi")
-    p.add_argument("--pi", action="store_true", help="use a resonant pi pulse (Omega = pi/T)")
-    p.add_argument("--span", default=None, help="detuning half-span (frequency, default 10hz)")
-    p.add_argument("--points", default=None, help="grid points (dimensionless, default 801)")
-    p.add_argument("--saturation", default=None, help="saturation scale s, P clamped at 1 (dimensionless, default 1)")
-    p.add_argument("--observed-width", default=None,
-                   help="optional measured linewidth for the Q report (frequency, e.g. 1.8hz)")
-    common(p)
-
-    p = sub.add_parser("zeeman", help="pi-transition Zeeman multiplet")
-    p.add_argument("--spin", default=None, help="nuclear spin I (half-integer, e.g. 9/2)")
-    p.add_argument("--dg", required=True,
-                   help="differential g splitting per field per m_F (frequency per tesla, e.g. 108.4hz)")
-    p.add_argument("--field", default=None, help="bias field (bfield, e.g. 0.3mt)")
-    p.add_argument("--linewidth", default=None, help="natural linewidth (frequency, default 0.001hz)")
-    common(p)
-
-    p = sub.add_parser("sidebands", help="carrier and motional sidebands")
-    p.add_argument("--eta", default=None, help="Lamb-Dicke parameter (dimensionless)")
-    p.add_argument("--nu-z", dest="nu_z", default=None, help="axial trap frequency (frequency, e.g. 49khz)")
-    p.add_argument("--nbar", default=None, help="mean motional occupation (dimensionless)")
-    p.add_argument("--width", default=None, help="feature FWHM (frequency, e.g. 2khz)")
-    p.add_argument("--span", default=None, help="detuning half-span (frequency, default 1.6x nu_z)")
-    p.add_argument("--points", default=None, help="grid points (dimensionless, default 1001)")
-    common(p)
-
-    p = sub.add_parser("aggregate", help="weighted mean of absolute-frequency measurements")
-    p.add_argument("ledger", help="CSV ledger: site,value_hz_minus_nu0,stat_hz,sys_hz")
-    common(p)
-
-    p = sub.add_parser("cavity-spectrum", help="vacuum-Rabi transmission spectrum")
-    p.add_argument("--g0", default=None, help="coupling g0 (frequency, e.g. 34e6hz)")
-    p.add_argument("--kappa", default=None, help="cavity HWHM decay (frequency, e.g. 4.1e6hz)")
-    p.add_argument("--gamma", default=None, help="atomic HWHM decay (frequency, e.g. 2.6e6hz)")
-    p.add_argument("--delta-b", dest="delta_b", default=None,
-                   help="FORT shift of the ground level (frequency, default 0hz)")
-    p.add_argument("--delta-e", dest="delta_e", default=None,
-                   help="FORT shift of the excited level (frequency, default 0hz)")
-    p.add_argument("--nmax", default=None, help="Fock truncation (dimensionless, default 5)")
-    p.add_argument("--drive", default=None,
-                   help="cavity drive amplitude (frequency; default 1e-3 x kappa)")
-    p.add_argument("--from", dest="lo", default=None,
-                   help="probe offset start from bare resonance (frequency, default -2 g0)")
-    p.add_argument("--to", dest="hi", default=None,
-                   help="probe offset end (frequency, default +2 g0)")
-    p.add_argument("--points", default=None, help="grid points (dimensionless, default 200)")
-    p.add_argument("--g2", action="store_true", help="also compute g2(0) per point")
-    p.add_argument("--jobs", default=None, help="worker count; results independent of it (default 1)")
-    common(p)
-
-    p = sub.add_parser("blockade", help="photon blockade g2(0) at the canonical probe points")
-    p.add_argument("--g0", default=None, help="coupling g0 (frequency, e.g. 34e6hz)")
-    p.add_argument("--kappa", default=None, help="cavity HWHM decay (frequency)")
-    p.add_argument("--gamma", default=None, help="atomic HWHM decay (frequency)")
-    p.add_argument("--nmax", default=None, help="Fock truncation (dimensionless, default 8)")
-    p.add_argument("--drive", default=None, help="cavity drive amplitude (frequency; default 0.1 x kappa)")
-    common(p)
-
-    p = sub.add_parser("ladder", help="Jaynes-Cummings manifold eigenvalues")
-    p.add_argument("--g0", default=None, help="coupling g0 (frequency, e.g. 1e6hz)")
-    p.add_argument("--n", default=None, help="manifold quanta n >= 1 (dimensionless)")
-    p.add_argument("--delta-b", dest="delta_b", default=None,
-                   help="FORT shift of the ground level (frequency, default 0hz)")
-    p.add_argument("--delta-e", dest="delta_e", default=None,
-                   help="FORT shift of the excited level (frequency, default 0hz)")
-    common(p)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags + COMMON:
+            if flag.kind == "bool":
+                p.add_argument(flag.name, action="store_true", help=flag.help)
+            elif flag.name.startswith("-"):  # raw text; defaults apply after the overlay
+                p.add_argument(flag.name, dest=flag.attr, choices=flag.choices, help=flag.help)
+            else:
+                p.add_argument(flag.name, help=flag.help)
     return top
 
 
+def _resolve(args: argparse.Namespace) -> None:
+    """Overlay the --config section on unset flags, then convert every flag."""
+    command = COMMANDS[args.command]
+    flags = command.flags + COMMON
+    if args.config:
+        cfg = configparser.ConfigParser()
+        try:
+            if not cfg.read(args.config):
+                raise ValidationError(f"config file not found: {args.config}")
+            items = cfg.items(command.section) if cfg.has_section(command.section) else []
+        except configparser.Error as exc:
+            raise ValidationError(f"config file {args.config}: {exc}") from None
+        attrs = {flag.attr for flag in flags}
+        for key, raw in items:
+            attr = key.replace("-", "_")
+            if attr.endswith("_hz") and attr not in attrs:
+                attr = attr[:-3]  # accept g0_hz/kappa_hz/... aliases
+            if attr in attrs and getattr(args, attr) is None:
+                setattr(args, attr, raw)
+    for flag in flags:
+        setattr(args, flag.attr, flag.convert(getattr(args, flag.attr)))
 
-def _required(args, attr: str, flag: str):
-    value = getattr(args, attr, None)
-    if value is None:
-        raise ValidationError(f"missing required --{flag} (flag or config entry)")
-    return value
 
-def _out_path(args, default_name: str) -> Path:
-    return Path(args.out) if args.out else Path(default_name)
+def _finish(args, argv, columns, rows, meta: dict, *summary: str) -> int:
+    """Emit the table to --out (default <command>.<format>), then print the summary."""
+    out = Path(args.out or f"{args.command.replace('-', '_')}.{args.format}")
+    emit(columns, rows, args.format, out, meta=meta, argv=argv)
+    for line in summary + (f"wrote {out}",):
+        print(line)
+    return 0
 
 
-def _freq(args, attr, default=None):
-    return _coerce(args, attr, _quantity("frequency"), default)
+def _load(name: str, calibrated: bool = False):
+    return load_species(resolve_species(name), use_calibration=calibrated)
+
+
+SCAN_COLUMNS = ["lambda_nm", "alpha_au_state1", "alpha_au_state2", "delta_alpha_au"]
+
+
+def _emit_scan(species, args, fmt: str, path: Path, argv) -> int:
+    """The delta-alpha table of both polarizability and magic --scan-out."""
+    lams, a1, a2, d = scan_delta_alpha(species, args.state1, args.state2,
+                                       args.lo, args.hi, args.points, jobs=args.jobs)
+    rows = np.column_stack((lams * 1e9, a1, a2, d)).tolist()
+    emit(SCAN_COLUMNS, rows, fmt, path, meta=_scan_meta(species, args), argv=argv)
+    return len(rows)
+
+
+def _scan_meta(species, args) -> dict:
+    return {"species": species.name, "state1": args.state1,
+            "state2": args.state2, "calibrated": args.calibrated}
 
 
 def _run_polarizability(args, argv):
-    species = load_species(resolve_species(_required(args, "species", "species")),
-                           use_calibration=args.calibrated)
-    lo = parse_quantity(_required(args, "lo", "from"), "length")
-    hi = parse_quantity(_required(args, "hi", "to"), "length")
-    points = int(_coerce(args, "points", float, 200))
-    jobs = int(_coerce(args, "jobs", float, 1))
-    lams, a1, a2, d = scan_delta_alpha(species, args.state1, args.state2,
-                                       lo, hi, points, jobs=jobs)
-    rows = [[lam * 1e9, x1, x2, dd] for lam, x1, x2, dd in zip(lams, a1, a2, d)]
-    fmt = args.format or "csv"
-    out = _out_path(args, f"polarizability.{fmt}")
-    emit(["lambda_nm", "alpha_au_state1", "alpha_au_state2", "delta_alpha_au"],
-         rows, fmt, out,
-         meta={"species": species.name, "state1": args.state1,
-               "state2": args.state2, "calibrated": args.calibrated}, argv=argv)
-    print(f"polarizability scan {args.state1}/{args.state2}: {len(rows)} points "
-          f"over {lo*1e9:g}-{hi*1e9:g} nm -> {out}")
+    species = _load(args.species, args.calibrated)
+    out = Path(args.out or f"polarizability.{args.format}")
+    count = _emit_scan(species, args, args.format, out, argv)
+    print(f"polarizability scan {args.state1}/{args.state2}: {count} points "
+          f"over {args.lo*1e9:g}-{args.hi*1e9:g} nm -> {out}")
     return 0
 
 
 def _run_magic(args, argv):
-    species = load_species(resolve_species(_required(args, "species", "species")),
-                           use_calibration=args.calibrated)
-    lo = parse_quantity(_required(args, "lo", "from"), "length")
-    hi = parse_quantity(_required(args, "hi", "to"), "length")
-    points = int(_coerce(args, "points", float, 2000))
-    jobs = int(_coerce(args, "jobs", float, 1))
-    found = find_magic(species, args.state1, args.state2, (lo, hi),
-                       grid_points=points, jobs=jobs)
+    species = _load(args.species, args.calibrated)
+    found = find_magic(species, args.state1, args.state2, (args.lo, args.hi),
+                       grid_points=args.points, jobs=args.jobs)
     if args.scan_out:
-        lams, a1, a2, d = scan_delta_alpha(species, args.state1, args.state2,
-                                           lo, hi, points, jobs=jobs)
-        emit(["lambda_nm", "alpha_au_state1", "alpha_au_state2", "delta_alpha_au"],
-             [[lam * 1e9, x1, x2, dd] for lam, x1, x2, dd in zip(lams, a1, a2, d)],
-             "csv", Path(args.scan_out),
-             meta={"species": species.name, "state1": args.state1,
-                   "state2": args.state2, "calibrated": args.calibrated}, argv=argv)
-    out = _out_path(args, "magic.json")
-    emit_magic_points(found, out,
-                      meta={"species": species.name, "state1": args.state1,
-                            "state2": args.state2, "calibrated": args.calibrated},
-                      argv=argv)
-    if found:
-        for pt in found:
-            print(f"magic {args.state1}/{args.state2}: lambda_L = "
-                  f"{pt.wavelength_m*1e9:.4f} nm (residual {pt.residual_au:.2e} au)")
-    else:
+        _emit_scan(species, args, "csv", Path(args.scan_out), argv)
+    out = Path(args.out or "magic.json")
+    emit_magic_points(found, out, meta=_scan_meta(species, args), argv=argv)
+    for pt in found:
+        print(f"magic {args.state1}/{args.state2}: lambda_L = "
+              f"{pt.wavelength_m*1e9:.4f} nm (residual {pt.residual_au:.2e} au)")
+    if not found:
         print(f"magic {args.state1}/{args.state2}: no crossing in "
-              f"{lo*1e9:g}-{hi*1e9:g} nm")
+              f"{args.lo*1e9:g}-{args.hi*1e9:g} nm")
     print(f"wrote {out}")
     return 0
 
 
 def _run_trap(args, argv):
-    species = load_species(resolve_species(_required(args, "species", "species")))
-    state = args.state
+    species = _load(args.species)
+    state, lam = args.state, args.lam
     if state is None:
         state = next(lv.label for lv in species.levels if lv.energy_hz == 0.0)
-    lam = parse_quantity(_required(args, "lam", "lattice-lambda"), "length")
-    waist = parse_quantity(_required(args, "waist", "waist"), "length")
-    probe = _coerce(args, "probe", _quantity("length"), lam)
-    gravity = _coerce(args, "gravity", _quantity("accel"), 0.0)
-    geom = GaussianBeam(waist) if args.gaussian else Lattice1D(waist)
-
-    e_rec, nu_rec = recoil(species.mass_kg, lam)
+    geom = GaussianBeam(args.waist) if args.gaussian else Lattice1D(args.waist)
     alpha = alpha_scalar(species, state, lam)
-    depth_erec = _coerce(args, "depth_erec", float)
-    power = _coerce(args, "power", _quantity("power"))
-    intensity = _coerce(args, "intensity", _quantity("intensity"))
-    given = sum(v is not None for v in (depth_erec, power, intensity))
-    if given != 1:
-        raise ValidationError(
-            "give exactly one of --power, --intensity, or --depth-erec")
+    if sum(v is not None for v in (args.depth_erec, args.power, args.intensity)) != 1:
+        raise ValidationError("give exactly one of --power, --intensity, or --depth-erec")
     anti_trapped = False
-    if depth_erec is not None:
-        depth_j = depth_erec * e_rec
+    if args.depth_erec is not None:
+        depth_j = args.depth_erec * recoil(species.mass_kg, lam)[0]
     else:
-        field = FieldConfig(lam, power_w=power, intensity_w_m2=intensity)
-        i_peak = peak_intensity(field, geom)
-        if isinstance(geom, Lattice1D):
-            i_peak *= 4.0 * geom.mirror_loss
-        shift = stark_shift(alpha, i_peak)
+        field = FieldConfig(lam, power_w=args.power, intensity_w_m2=args.intensity)
+        shift = stark_shift(alpha, intensity_at(field, geom, 0.0, 0.0))
         anti_trapped = shift.potential_j > 0
         depth_j = abs(shift.potential_j)
-    nu_ax, nu_rad = trap_frequencies(depth_j, geom, lam, species.mass_kg)
-    eta = lamb_dicke(probe, nu_ax, species.mass_kg) if nu_ax > 0 else 0.0
-    offset = site_offset(species.mass_kg, lam, gravity)
-
-    rows = [
-        ["state", state, ""],
-        ["alpha_scalar_au", alpha.alpha_scalar_au, "a.u."],
-        ["depth", depth_j, "J"],
-        ["depth_rec", depth_j / e_rec, "E_rec"],
-        ["depth_hz", depth_j / PLANCK, "Hz"],
-        ["nu_axial_hz", nu_ax, "Hz"],
-        ["nu_radial_hz", nu_rad, "Hz"],
-        ["recoil_hz", nu_rec, "Hz"],
-        ["eta", eta, ""],
-        ["site_offset_hz", offset, "Hz"],
-    ]
-    fmt = args.format or "csv"
-    out = _out_path(args, f"trap.{fmt}")
-    emit(["quantity", "value", "unit"], rows, fmt, out,
-         meta={"species": species.name, "state": state}, argv=argv)
-    print(f"trap at {lam*1e9:g} nm: depth {depth_j/e_rec:.2f} E_rec, "
-          f"nu_z {nu_ax/1e3:.2f} kHz, nu_r {nu_rad:.1f} Hz, eta {eta:.3f}")
+    tp = trap_parameters(depth_j, geom, lam, species.mass_kg,
+                         args.probe if args.probe is not None else lam, args.gravity)
+    rows = [["state", state, ""], ["alpha_scalar_au", alpha.alpha_scalar_au, "a.u."],
+            ["depth", tp.depth_j, "J"], ["depth_rec", tp.depth_rec, "E_rec"],
+            ["depth_hz", tp.depth_hz, "Hz"], ["nu_axial_hz", tp.nu_axial_hz, "Hz"],
+            ["nu_radial_hz", tp.nu_radial_hz, "Hz"], ["recoil_hz", tp.recoil_hz, "Hz"],
+            ["eta", tp.eta, ""], ["site_offset_hz", tp.site_offset_hz, "Hz"]]
+    summary = [f"trap at {lam*1e9:g} nm: depth {tp.depth_rec:.2f} E_rec, "
+               f"nu_z {tp.nu_axial_hz/1e3:.2f} kHz, nu_r {tp.nu_radial_hz:.1f} Hz, "
+               f"eta {tp.eta:.3f}"]
     if anti_trapped:
-        print(f"note: alpha({state}) < 0 here; the state is anti-trapped "
-              "(depth shown is the potential magnitude)")
-    print(f"wrote {out}")
-    return 0
+        summary.append(f"note: alpha({state}) < 0 here; the state is anti-trapped "
+                       "(depth shown is the potential magnitude)")
+    return _finish(args, argv, ["quantity", "value", "unit"], rows,
+                   {"species": species.name, "state": state}, *summary)
 
 
 def _run_clock_line(args, argv):
-    duration = parse_quantity(_required(args, "duration", "duration"), "time")
-    rabi_hz = _freq(args, "rabi")
-    if args.pi == (rabi_hz is not None):
+    if args.pi == (args.rabi is not None):
         raise ValidationError("give exactly one of --rabi or --pi")
-    omega = math.pi / duration if args.pi else TWO_PI * rabi_hz
-    span = _freq(args, "span", 10.0)
-    points = int(_coerce(args, "points", float, 801))
-    saturation = _coerce(args, "saturation", float, 1.0)
-    grid = np.linspace(-span, span, points)
-    trace = rabi_lineshape(omega, duration, grid, saturation)
-    rows = [[d, r] for d, r in zip(trace.detuning_hz, trace.response)]
-    fmt = args.format or "csv"
-    out = _out_path(args, f"clock_line.{fmt}")
-    emit(["detuning_hz", "excitation"], rows, fmt, out,
-         meta={"omega_rad_s": omega, "duration_s": duration}, argv=argv)
-    print(f"Rabi line, T = {duration:g} s: numeric FWHM = {trace.fwhm_hz:.4f} Hz")
+    duration = args.duration
+    omega = math.pi / duration if args.pi else TWO_PI * args.rabi
+    grid = np.linspace(-args.span, args.span, args.points)
+    trace = rabi_lineshape(omega, duration, grid, args.saturation)
     nu_clock = float(NU0_OFFSET_HZ)
-    print(f"Q at Fourier width: {quality_factor(nu_clock, trace.fwhm_hz):.3e}")
-    observed = _freq(args, "observed_width")
-    if observed:
-        print(f"Q at observed width {observed:g} Hz: "
-              f"{quality_factor(nu_clock, observed):.3e}")
-    print(f"wrote {out}")
-    return 0
+    if trace.fwhm_hz is None:  # e.g. Omega T = 2 pi puts a node on the carrier
+        summary = [f"Rabi line, T = {duration:g} s: FWHM undefined "
+                   "(no half-maximum crossing next to the carrier)"]
+    else:
+        summary = [f"Rabi line, T = {duration:g} s: numeric FWHM = {trace.fwhm_hz:.4f} Hz",
+                   f"Q at Fourier width: {quality_factor(nu_clock, trace.fwhm_hz):.3e}"]
+    if args.observed_width is not None:
+        summary.append(f"Q at observed width {args.observed_width:g} Hz: "
+                       f"{quality_factor(nu_clock, args.observed_width):.3e}")
+    return _finish(args, argv, ["detuning_hz", "excitation"],
+                   np.column_stack((trace.detuning_hz, trace.response)).tolist(),
+                   {"omega_rad_s": omega, "duration_s": duration}, *summary)
 
 
 def _run_zeeman(args, argv):
-    spin = _coerce(args, "spin", _half_integer, 4.5)
-    dg = parse_quantity(_required(args, "dg", "dg"), "frequency")
-    field = parse_quantity(_required(args, "field", "field"), "bfield")
-    linewidth = _freq(args, "linewidth", 1e-3)
-    transition = ClockTransition(nuclear_spin=spin, linewidth_hz=linewidth,
-                                 dg_hz_per_t=dg)
-    multiplet = zeeman_multiplet(transition, field, "pi")
-    rows = [[m, off] for m, off in multiplet]
-    fmt = args.format or "csv"
-    out = _out_path(args, f"zeeman.{fmt}")
-    emit(["m_f", "offset_hz"], rows, fmt, out,
-         meta={"field_t": field, "dg_hz_per_t": dg}, argv=argv)
-    gap = dg * field
-    print(f"pi multiplet: {len(multiplet)} lines, adjacent gap {gap:g} Hz")
-    print(f"wrote {out}")
-    return 0
+    transition = ClockTransition(nuclear_spin=args.spin, linewidth_hz=args.linewidth,
+                                 dg_hz_per_t=args.dg)
+    multiplet = zeeman_multiplet(transition, args.field, "pi")
+    return _finish(args, argv, ["m_f", "offset_hz"], multiplet,
+                   {"field_t": args.field, "dg_hz_per_t": args.dg},
+                   f"pi multiplet: {len(multiplet)} lines, "
+                   f"adjacent gap {args.dg * args.field:g} Hz")
 
 
 def _run_sidebands(args, argv):
-    eta = float(_required(args, "eta", "eta"))
-    nu_z = parse_quantity(_required(args, "nu_z", "nu-z"), "frequency")
-    nbar = float(_required(args, "nbar", "nbar"))
-    width = parse_quantity(_required(args, "width", "width"), "frequency")
-    span = _freq(args, "span", 1.6 * nu_z)
-    points = int(_coerce(args, "points", float, 1001))
-    grid = np.linspace(-span, span, points)
-    trace = sideband_spectrum(eta, nu_z, nbar, width, grid)
-    rows = [[d, r] for d, r in zip(trace.detuning_hz, trace.response)]
-    fmt = args.format or "csv"
-    out = _out_path(args, f"sidebands.{fmt}")
-    emit(["detuning_hz", "amplitude"], rows, fmt, out,
-         meta={"eta": eta, "nbar": nbar, "nu_z_hz": nu_z}, argv=argv)
+    span = args.span if args.span is not None else 1.6 * args.nu_z
+    grid = np.linspace(-span, span, args.points)
+    trace = sideband_spectrum(args.eta, args.nu_z, args.nbar, args.width, grid)
     weights = {f.name: f.weight for f in trace.labels}
     ratio = (weights["red_sideband"] / weights["blue_sideband"]
              if weights["blue_sideband"] > 0 else 0.0)
-    print("features: " + ", ".join(
-        f"{f.name}@{f.offset_hz:+g} Hz (w={f.weight:.4g})" for f in trace.labels))
-    print(f"red/blue ratio = {ratio:.6f} -> nbar = {nbar_from_asymmetry(ratio):.6f}")
-    print(f"wrote {out}")
-    return 0
+    return _finish(args, argv, ["detuning_hz", "amplitude"],
+                   np.column_stack((trace.detuning_hz, trace.response)).tolist(),
+                   {"eta": args.eta, "nbar": args.nbar, "nu_z_hz": args.nu_z},
+                   "features: " + ", ".join(f"{f.name}@{f.offset_hz:+g} Hz (w={f.weight:.4g})"
+                                            for f in trace.labels),
+                   f"red/blue ratio = {ratio:.6f} -> nbar = {nbar_from_asymmetry(ratio):.6f}")
 
 
 def _run_aggregate(args, argv):
-    measurements = read_measurement_ledger(args.ledger)
-    result = aggregate_measurements(measurements)
-    rows = [[result.n, result.mean_hz, result.sigma_mean_hz,
-             result.chi2_reduced, int(result.chi2_valid)]]
-    fmt = args.format or "csv"
-    out = _out_path(args, f"aggregate.{fmt}")
-    emit(["n", "mean_hz_minus_nu0", "sigma_mean_hz", "chi2_reduced", "chi2_valid"],
-         rows, fmt, out, meta={"ledger": str(args.ledger)}, argv=argv)
-    print("nu0 offset: 429228004229800 Hz")
-    print(f"{result.n} measurements: mean = nu0 + {result.mean_hz:.3f} Hz "
-          f"(sigma {result.sigma_mean_hz:.3f} Hz)")
-    if result.chi2_valid:
-        print(f"reduced chi^2 = {result.chi2_reduced:.3f}")
-    else:
-        print("reduced chi^2 undefined for a single measurement (reported 0)")
-    print(f"wrote {out}")
-    return 0
+    result = aggregate_measurements(read_measurement_ledger(args.ledger))
+    chi2 = (f"reduced chi^2 = {result.chi2_reduced:.3f}" if result.chi2_valid else
+            "reduced chi^2 undefined for a single measurement (reported 0)")
+    return _finish(args, argv,
+                   ["n", "mean_hz_minus_nu0", "sigma_mean_hz", "chi2_reduced", "chi2_valid"],
+                   [[result.n, result.mean_hz, result.sigma_mean_hz, result.chi2_reduced,
+                     int(result.chi2_valid)]],
+                   {"ledger": str(args.ledger)},
+                   "nu0 offset: 429228004229800 Hz",
+                   f"{result.n} measurements: mean = nu0 + {result.mean_hz:.3f} Hz "
+                   f"(sigma {result.sigma_mean_hz:.3f} Hz)", chi2)
 
 
-def _cavity_system(args, nmax_default: int) -> CavitySystem:
-    return CavitySystem(
-        g0=TWO_PI * parse_quantity(_required(args, "g0", "g0"), "frequency"),
-        kappa=TWO_PI * parse_quantity(_required(args, "kappa", "kappa"), "frequency"),
-        gamma=TWO_PI * parse_quantity(_required(args, "gamma", "gamma"), "frequency"),
-        delta_b=TWO_PI * _freq(args, "delta_b", 0.0),
-        delta_e=TWO_PI * _freq(args, "delta_e", 0.0),
-        n_max=int(_coerce(args, "nmax", float, nmax_default)))
+def _cavity_system(args, delta_b: float = 0.0, delta_e: float = 0.0) -> CavitySystem:
+    return CavitySystem(g0=TWO_PI * args.g0, kappa=TWO_PI * args.kappa,
+                        gamma=TWO_PI * args.gamma, delta_b=TWO_PI * delta_b,
+                        delta_e=TWO_PI * delta_e, n_max=args.nmax)
 
 
 def _run_cavity_spectrum(args, argv):
-    sys_ = _cavity_system(args, 5)
-    drive_hz = _freq(args, "drive")
-    drive = TWO_PI * drive_hz if drive_hz is not None else 1e-3 * sys_.kappa
-    lo = _freq(args, "lo")
-    hi = _freq(args, "hi")
-    lo = TWO_PI * lo if lo is not None else -2.0 * sys_.g0
-    hi = TWO_PI * hi if hi is not None else +2.0 * sys_.g0
-    points = int(_coerce(args, "points", float, 200))
-    jobs = int(_coerce(args, "jobs", float, 1))
-    grid = np.linspace(lo, hi, points)
-    result = vacuum_rabi_spectrum(sys_, drive, grid, with_g2=args.g2, jobs=jobs)
-    rows = []
-    for i in range(points):
-        g2v = result.g2[i] if result.g2 is not None else None
-        rows.append([result.omega_p[i] / TWO_PI, result.transmission[i],
-                     result.mean_n[i], g2v])
-    fmt = args.format or "csv"
-    out = _out_path(args, f"cavity_spectrum.{fmt}")
-    emit(["omega_p_over_2pi_hz", "transmission", "mean_n", "g2"], rows, fmt, out,
-         meta={"g0_rad_s": sys_.g0, "kappa_rad_s": sys_.kappa,
-               "gamma_rad_s": sys_.gamma, "drive_rad_s": drive,
-               "nmax": sys_.n_max}, argv=argv)
+    sys_ = _cavity_system(args, args.delta_b, args.delta_e)
+    drive = TWO_PI * args.drive if args.drive is not None else 1e-3 * sys_.kappa
+    lo = TWO_PI * args.lo if args.lo is not None else -2.0 * sys_.g0
+    hi = TWO_PI * args.hi if args.hi is not None else +2.0 * sys_.g0
+    result = vacuum_rabi_spectrum(sys_, drive, np.linspace(lo, hi, args.points),
+                                  with_g2=args.g2, jobs=args.jobs)
+    g2 = result.g2 if result.g2 is not None else [None] * args.points
+    rows = [[w / TWO_PI, t, n, g]
+            for w, t, n, g in zip(result.omega_p, result.transmission, result.mean_n, g2)]
     peaks = ", ".join(f"{p/TWO_PI/1e6:+.3f} MHz" for p in result.peak_omegas)
-    print(f"vacuum-Rabi spectrum: {points} points, peaks at [{peaks}]")
-    print(f"wrote {out}")
-    return 0
+    return _finish(args, argv, ["omega_p_over_2pi_hz", "transmission", "mean_n", "g2"], rows,
+                   {"g0_rad_s": sys_.g0, "kappa_rad_s": sys_.kappa, "gamma_rad_s": sys_.gamma,
+                    "drive_rad_s": drive, "nmax": sys_.n_max},
+                   f"vacuum-Rabi spectrum: {args.points} points, peaks at [{peaks}]")
 
 
 def _run_blockade(args, argv):
-    sys_ = _cavity_system(args, 8)
-    drive_hz = _freq(args, "drive")
-    drive = TWO_PI * drive_hz if drive_hz is not None else 0.1 * sys_.kappa
-    lower = -sys_.g0
-    two_photon = -sys_.g0 / math.sqrt(2.0)
+    sys_ = _cavity_system(args)
+    drive = TWO_PI * args.drive if args.drive is not None else 0.1 * sys_.kappa
+    lower, two_photon = -sys_.g0, -sys_.g0 / math.sqrt(2.0)
     g2_lower = g2_zero(sys_, drive, lower)
     g2_two = g2_zero(sys_, drive, two_photon)
     detuning = blockade_detuning(sys_.g0)
-    rows = [
-        ["lower_polariton", lower / TWO_PI, g2_lower],
-        ["two_photon_resonance", two_photon / TWO_PI, g2_two],
-    ]
-    fmt = args.format or "csv"
-    out = _out_path(args, f"blockade.{fmt}")
-    emit(["probe", "omega_p_over_2pi_hz", "g2"], rows, fmt, out,
-         meta={"g0_rad_s": sys_.g0, "blockade_detuning_rad_s": detuning,
-               "nmax": sys_.n_max}, argv=argv)
-    print(f"g2(0) on the lower polariton: {g2_lower:.4f} "
-          f"({'blockade' if g2_lower < 1 else 'no blockade'})")
-    print(f"g2(0) at the two-photon resonance: {g2_two:.4f}")
-    print(f"n=1->2 step detuning: {detuning/TWO_PI/1e6:.4f} MHz "
-          f"= (sqrt(2)-1) g0")
-    print(f"wrote {out}")
-    return 0
+    return _finish(args, argv, ["probe", "omega_p_over_2pi_hz", "g2"],
+                   [["lower_polariton", lower / TWO_PI, g2_lower],
+                    ["two_photon_resonance", two_photon / TWO_PI, g2_two]],
+                   {"g0_rad_s": sys_.g0, "blockade_detuning_rad_s": detuning,
+                    "nmax": sys_.n_max},
+                   f"g2(0) on the lower polariton: {g2_lower:.4f} "
+                   f"({'blockade' if g2_lower < 1 else 'no blockade'})",
+                   f"g2(0) at the two-photon resonance: {g2_two:.4f}",
+                   f"n=1->2 step detuning: {detuning/TWO_PI/1e6:.4f} MHz = (sqrt(2)-1) g0")
 
 
 def _run_ladder(args, argv):
-    g0 = TWO_PI * parse_quantity(_required(args, "g0", "g0"), "frequency")
-    n = int(float(_required(args, "n", "n")))
-    if n < 1:
-        raise ValidationError("--n must be >= 1")
+    g0, n = TWO_PI * args.g0, args.n
     sys_ = CavitySystem(g0=g0, kappa=1.0, gamma=1.0,  # decay does not enter the ladder
-                        delta_b=TWO_PI * _freq(args, "delta_b", 0.0),
-                        delta_e=TWO_PI * _freq(args, "delta_e", 0.0),
+                        delta_b=TWO_PI * args.delta_b, delta_e=TWO_PI * args.delta_e,
                         n_max=max(n, 2))
-    eigs = jc_ladder(sys_, n)
-    rows = [["lower", eigs[0] / TWO_PI], ["upper", eigs[1] / TWO_PI]]
-    fmt = args.format or "csv"
-    out = _out_path(args, f"ladder.{fmt}")
-    emit(["branch", "offset_hz"], rows, fmt, out,
-         meta={"g0_rad_s": g0, "n": n}, argv=argv)
-    print(f"manifold n={n}: offsets {eigs[0]/TWO_PI:+.6g} Hz, "
-          f"{eigs[1]/TWO_PI:+.6g} Hz relative to n*omega_0")
-    print(f"wrote {out}")
-    return 0
+    lower, upper = jc_ladder(sys_, n) / TWO_PI
+    return _finish(args, argv, ["branch", "offset_hz"], [["lower", lower], ["upper", upper]],
+                   {"g0_rad_s": g0, "n": n},
+                   f"manifold n={n}: offsets {lower:+.6g} Hz, {upper:+.6g} Hz "
+                   "relative to n*omega_0")
 
 
 _RUNNERS = {
@@ -676,10 +646,9 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, args.command)
-        if getattr(args, "verbose", False):
-            print(f"# magictrap {__version__}: {args.command} "
-                  + " ".join(argv[1:]))
+        _resolve(args)
+        if args.verbose:
+            print(f"# magictrap {__version__}: {args.command} " + " ".join(argv[1:]))
             print(f"# data dir: {data_dir()}")
         return _RUNNERS[args.command](args, argv)
     except SystemExit as exc:  # argparse --help/--version
@@ -687,7 +656,7 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"magictrap: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"magictrap: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, ValueError, OSError) as exc:

@@ -32,7 +32,6 @@ class ClockTransition:
     nuclear_spin: float
     linewidth_hz: float
     dg_hz_per_t: float
-    nu0_offset_hz: int = NU0_OFFSET_HZ
 
     def __post_init__(self):
         if self.linewidth_hz <= 0:
@@ -118,9 +117,18 @@ def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
     fwhm = None
     if peak > 0:
         step = 1.0 / (4.0 * duration_s)
-        hi = step
-        while float(prob(hi)) > half and hi < 1e6 / duration_s:
-            hi += step
+        limit = 1e6 / duration_s
+        # the first hi in step, step + step, ... with P(hi) <= half or
+        # hi >= limit, tested a block at a time: with the carrier on a node
+        # (Omega T = 2 pi n) no crossing exists and the walk runs to the limit
+        start = step
+        while True:
+            his = np.add.accumulate(np.r_[start, np.full(1023, step)])
+            stop = np.flatnonzero((prob(his) <= half) | (his >= limit))
+            if stop.size:
+                hi = float(his[stop[0]])
+                break
+            start = his[-1] + step
         if float(prob(hi)) <= half:
             root = brentq(lambda d: float(prob(d)) - half, hi - step, hi,
                           xtol=1e-12, rtol=1e-14)

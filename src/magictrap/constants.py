@@ -10,7 +10,6 @@ import math
 SPEED_OF_LIGHT = 299792458.0          # m/s
 PLANCK = 6.62607015e-34               # J s
 ELEMENTARY_CHARGE = 1.602176634e-19   # C
-BOLTZMANN = 1.380649e-23              # J/K
 
 HBAR = PLANCK / (2.0 * math.pi)       # J s
 
@@ -18,10 +17,6 @@ HBAR = PLANCK / (2.0 * math.pi)       # J s
 VACUUM_PERMITTIVITY = 8.8541878128e-12   # F/m
 BOHR_RADIUS = 5.29177210903e-11          # m
 HARTREE = 4.3597447222071e-18            # J
-ATOMIC_MASS = 1.66053906660e-27          # kg
-
-# Conventional standard gravity
-STANDARD_GRAVITY = 9.80665               # m/s^2
 
 # Atomic units in SI
 DIPOLE_AU = ELEMENTARY_CHARGE * BOHR_RADIUS            # C m per e*a0

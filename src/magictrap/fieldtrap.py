@@ -103,12 +103,10 @@ class GaussianBeam:
 
 @dataclass(frozen=True)
 class Lattice1D:
-    """Retro-reflected standing wave along ``orientation``. ``mirror_loss``
-    scales the ideal 4x antinode interference factor (1.0 = lossless)."""
+    """Retro-reflected standing wave. ``mirror_loss`` scales the ideal 4x
+    antinode interference factor (1.0 = lossless)."""
 
     waist_m: float
-    orientation: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    gravity_on: bool = False
     mirror_loss: float = 1.0
 
     def __post_init__(self):
@@ -116,9 +114,6 @@ class Lattice1D:
             raise ValidationError("waist must be > 0")
         if not 0.0 < self.mirror_loss <= 1.0:
             raise ValidationError("mirror_loss must be in (0, 1]")
-        norm = math.sqrt(sum(c * c for c in self.orientation))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValidationError("orientation must be a unit vector")
 
 
 TrapGeometry = GaussianBeam | Lattice1D

@@ -30,6 +30,5 @@ def synth_species(levels, lines, name="Synth", mass_kg=1e-25, nuclear_spin=0.0):
         freq = by_label[upper].energy_hz - by_label[lower].energy_hz
         degeneracy = round(2 * by_label[upper].J) + 1
         line_objs.append(TransitionLine(
-            lower, upper, freq, gamma_from_dipole(d_au, freq, degeneracy),
-            d_au, "dipole"))
+            lower, upper, freq, gamma_from_dipole(d_au, freq, degeneracy), d_au))
     return Species(name, mass_kg, nuclear_spin, level_objs, tuple(line_objs))

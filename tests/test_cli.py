@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import magictrap.cli as cli
@@ -311,3 +312,117 @@ def test_verbose_echoes_invocation(tmp_path, monkeypatch, capsys):
     assert run(["ladder", "--g0", "1e6hz", "--n", "1", "--verbose"]) == 0
     out = capsys.readouterr().out
     assert "# magictrap" in out and "data dir" in out
+
+
+SCAN_ARGS = ["--species", "sr87", "--state1", "1S0", "--state2", "3P0",
+             "--from", "700nm", "--to", "900nm"]
+CAVITY_ARGS = ["--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz", "--points", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    # non-finite or zero physics values
+    ["clock-line", "--duration", "0.5s", "--pi", "--saturation", "0"],
+    ["clock-line", "--duration", "0.5s", "--pi", "--saturation", "nan"],
+    ["sidebands", "--eta", "0.31", "--nu-z", "49khz", "--width", "3khz", "--format", "json",
+     "--nbar", "nan"],
+    ["zeeman", "--dg", "108.4hz", "--field", "nanmt"],
+    ["trap", "--species", "sr87", "--lattice-lambda", "813.428nm", "--waist", "30um",
+     "--depth-erec", "nan"],
+    ["cavity-spectrum", *CAVITY_ARGS, "--drive", "0hz"],
+    # integer flags and their size caps
+    ["polarizability", *SCAN_ARGS, "--points", "2.7"],
+    ["polarizability", *SCAN_ARGS, "--points", "0"],
+    ["ladder", "--g0", "1e6hz", "--n", "2.7"],
+    ["zeeman", "--dg", "108.4hz", "--field", "0.3mt", "--spin", "11"],
+    ["cavity-spectrum", *CAVITY_ARGS, "--nmax", "41"],
+    ["cavity-spectrum", *CAVITY_ARGS, "--jobs", "65"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_bad_values_exit_1_before_any_write(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"magictrap: {argv[-2]}")  # names the offending flag
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_size_caps_bound_the_work():
+    """Caps reject huge requests in the flag table, before any work starts
+    (the parent code built 2e9 Zeeman rows for --spin 1e9)."""
+    flags = {(name, f.name): f for name, c in cli.COMMANDS.items() for f in c.flags}
+    for key, over in [(("zeeman", "--spin"), "1e9"), (("polarizability", "--jobs"), "1e6"),
+                      (("cavity-spectrum", "--nmax"), "1e3"),
+                      (("cavity-spectrum", "--points"), "1e7"),
+                      (("polarizability", "--points"), "1000001")]:
+        with pytest.raises(ValidationError, match="<="):
+            flags[key].convert(over)
+    # every value used by the tests, the README and the benchmark stays allowed
+    assert flags[("polarizability", "--points")].convert("200000") == 200000
+    assert flags[("cavity-spectrum", "--nmax")].convert("20") == 20
+    assert flags[("zeeman", "--spin")].convert("9/2") == 4.5
+    assert flags[("cavity-spectrum", "--jobs")].convert("4") == 4
+
+
+def test_clock_line_carrier_node_reports_undefined_fwhm(tmp_path, monkeypatch, capsys):
+    # Omega T = 2 pi: the carrier sits on a node and no FWHM exists
+    monkeypatch.chdir(tmp_path)
+    assert run(["clock-line", "--duration", "0.5s", "--rabi", "2hz"]) == 0
+    out = capsys.readouterr().out
+    assert "FWHM undefined" in out and "Q at Fourier width" not in out
+    from magictrap.clockspec import rabi_lineshape
+    trace = rabi_lineshape(2 * math.pi * 2.0, 0.5, np.linspace(-10.0, 10.0, 801))
+    body = (tmp_path / "clock_line.csv").read_text().splitlines()[2:]
+    assert [[float(c) for c in line.split(",")] for line in body] == \
+        np.column_stack((trace.detuning_hz, trace.response)).tolist()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_refuses_non_finite_and_writes_nothing(tmp_path, fmt):
+    out = tmp_path / f"t.{fmt}"
+    with pytest.raises(NumericalError):
+        emit(["a", "b"], [[1.0, 2.0], [3.0, math.nan]], fmt, out)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(NumericalError):
+        emit(["a"], [[1.0]], fmt, out, meta={"drive": math.inf})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_emit_leaves_previous_output_intact(tmp_path):
+    out = tmp_path / "t.csv"
+    emit(["a"], [[1.0]], "csv", out)
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    with pytest.raises(NumericalError):
+        emit(["a"], [[-math.inf]], "csv", out)
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
+def test_magic_points_refuse_non_finite(tmp_path):
+    from magictrap.polarizability import MagicPoint
+    point = MagicPoint(wavelength_m=813e-9, states=("1S0", "3P0"), residual_au=math.nan,
+                       bracket_m=(812e-9, 814e-9))
+    with pytest.raises(NumericalError):
+        cli.emit_magic_points([point], tmp_path / "m.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_result_exits_2_without_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ledger.csv").write_text(
+        "site,value_hz_minus_nu0,stat_hz,sys_hz\na,nan,1,1\nb,70,1,1\n")
+    assert run(["aggregate", "ledger.csv"]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.csv"]
+
+
+def test_config_values_pass_the_same_checks(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text("[cavity]\nkappa = 2e6hz\ngamma = 2e6hz\nnmax = 2.7\n")
+    assert run(["cavity-spectrum", "--g0", "20e6hz", "--points", "5",
+                "--config", "run.ini"]) == 1
+    (tmp_path / "run.ini").write_text("[cavity]\nkappa = 2e6hz\ngamma = 2e6hz\n"
+                                      "format = xml\n")
+    assert run(["cavity-spectrum", "--g0", "20e6hz", "--points", "5",
+                "--config", "run.ini"]) == 1
+    (tmp_path / "run.ini").write_text("kappa = 2e6hz\n")  # no section header
+    assert run(["cavity-spectrum", "--g0", "20e6hz", "--config", "run.ini"]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]

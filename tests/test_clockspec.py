@@ -283,3 +283,44 @@ def test_spectrum_trace_grid_validation():
         SpectrumTrace(np.array([0.0, -1.0]), np.array([0.1, 0.2]))
     with pytest.raises(ValidationError, match="empty"):
         SpectrumTrace(np.array([]), np.array([]))
+
+
+def stepwise_fwhm(omega, duration, saturation=1.0):
+    """Reference for the FWHM search: the one-step-at-a-time walk
+    hi = step, step + step, ... that rabi_lineshape evaluates in blocks."""
+    from scipy.optimize import brentq
+
+    def prob(delta_hz):
+        w = 2.0 * math.pi * np.asarray(delta_hz)
+        p = omega**2 / (omega**2 + w**2) * np.sin(np.sqrt(omega**2 + w**2) * duration / 2.0) ** 2
+        return np.minimum(saturation * p, 1.0)
+
+    half = float(prob(0.0)) / 2.0
+    step = 1.0 / (4.0 * duration)
+    hi = step
+    while float(prob(hi)) > half and hi < 1e6 / duration:
+        hi += step
+    if float(prob(hi)) > half:
+        return None
+    return 2.0 * brentq(lambda d: float(prob(d)) - half, hi - step, hi,
+                        xtol=1e-12, rtol=1e-14)
+
+
+@pytest.mark.parametrize("omega_t,duration,saturation", [
+    (math.pi, 0.5, 1.0), (math.pi, 0.1, 3.0), (3 * math.pi, 1.0, 1.0),
+    (0.4 * math.pi, 2.0, 10.0), (2 * math.pi * 1.002, 0.5, 1.0),
+    (4 * math.pi * 0.997, 0.05, 1.0), (6 * math.pi * 1.03, 1.0, 2.7),
+])
+def test_fwhm_search_matches_stepwise_walk(omega_t, duration, saturation):
+    trace = rabi_lineshape(omega_t / duration, duration, np.array([0.0]), saturation)
+    assert trace.fwhm_hz == stepwise_fwhm(omega_t / duration, duration, saturation)
+
+
+def test_carrier_node_has_no_fwhm_and_returns_quickly():
+    # Omega T = 2 pi: P(0) is zero up to rounding and never has a half
+    # crossing; the walk goes to its 1e6 / T limit (4e6 steps)
+    import time
+    start = time.perf_counter()
+    trace = rabi_lineshape(2 * math.pi * 2.0, 0.5, np.linspace(-10, 10, 801))
+    assert trace.fwhm_hz is None
+    assert time.perf_counter() - start < 5.0

@@ -11,7 +11,9 @@ Conventions (documented; the literature is ambiguous):
     is omega_A + delta_e - delta_b.
 
 Steady states come from a direct sparse solve of the vectorized Lindblad
-generator with one row replaced by the trace condition.
+generator with one row replaced by the trace condition. The generator is
+affine in the probe frequency, L(omega_p) = L0 + omega_p D with D diagonal,
+so it is assembled once per probe grid and each point costs one sparse LU.
 """
 
 from __future__ import annotations
@@ -197,7 +199,94 @@ def _liouvillian(h: sp.spmatrix, collapse: list[sp.spmatrix]) -> sp.spmatrix:
         lv = lv + (sp.kron(c.conj(), c)
                    - 0.5 * sp.kron(ident, cdc)
                    - 0.5 * sp.kron(cdc.T, ident))
-    return lv.tocsc()
+    return lv
+
+
+def _probe_solver(sys: CavitySystem, drive: float, z: float, grid: np.ndarray):
+    """Steady-state solver for every probe frequency of ``grid``.
+
+    The generator is affine in the probe: with w = (omega_p - omega_C)/scale,
+    L(omega_p) = L0 + w D, where the probe enters H only as
+    -w (a'a + sigma+ sigma-), whose commutator is the diagonal D. L0 is
+    assembled once, in CSC form with the trace row in place of the first
+    equation and every diagonal entry stored, so each point only adds w D
+    to a copy of L0's values before its own sparse LU. The probe is measured
+    from omega_C so that an optical omega_C does not cancel against it.
+    """
+    if drive < 0:
+        raise ValidationError("drive amplitude must be >= 0")
+    n_levels = sys.n_max + 1
+    dim = 2 * n_levels
+    size = dim * dim
+
+    # dimensionless rates: the solve is invariant under a common rate scale,
+    # fixed by the grid's extreme detunings (a one-point grid gives that
+    # point's own scale)
+    lo, hi = float(np.min(grid)), float(np.max(grid))
+    omega_atom = sys.omega_a + sys.delta_e - sys.delta_b
+    scale = max(sys.g0, sys.kappa, sys.gamma, drive,
+                abs(sys.omega_c - lo), abs(sys.omega_c - hi),
+                abs(omega_atom - lo), abs(omega_atom - hi))
+    g_s, kappa_s, gamma_s, eps_s = (sys.g_at(z) / scale, sys.kappa / scale,
+                                    sys.gamma / scale, drive / scale)
+
+    a, sm = _operators(n_levels)
+    h0 = ((omega_atom - sys.omega_c) / scale * (sm.conj().T @ sm)
+          + g_s * (a.conj().T @ sm + a @ sm.conj().T)
+          + eps_s * (a + a.conj().T))
+    gen = _liouvillian(h0, [math.sqrt(2.0 * kappa_s) * a,
+                            math.sqrt(2.0 * gamma_s) * sm]).tocoo()
+
+    # trace row replaces the first equation; explicit zeros keep every
+    # diagonal position stored
+    keep = gen.row != 0
+    diag = np.arange(size)
+    rows = np.concatenate((gen.row[keep], np.zeros(dim, dtype=int), diag))
+    cols = np.concatenate((gen.col[keep], np.arange(dim) * (dim + 1), diag))
+    vals = np.concatenate((gen.data[keep], np.ones(dim), np.zeros(size)))
+    l0 = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+    col_of = np.repeat(diag, np.diff(l0.indptr))
+    diag_pos = np.flatnonzero(l0.indices == col_of)
+
+    # D = i (N_ii - N_jj) at vec index i + j dim, N = a'a + sigma+ sigma-;
+    # it vanishes on every population, the trace row's diagonal among them
+    photons = np.repeat(np.arange(n_levels), 2)
+    excitations = photons + np.tile([0, 1], n_levels)
+    d_diag = 1j * (np.tile(excitations, dim) - np.repeat(excitations, dim))
+    rhs = np.zeros(size, dtype=complex)
+    rhs[0] = 1.0
+
+    def solve(omega_p: float) -> SteadyState:
+        values = l0.data.copy()
+        values[diag_pos] += (omega_p - sys.omega_c) / scale * d_diag
+        lv = sp.csc_matrix((values, l0.indices, l0.indptr), shape=l0.shape)
+        try:
+            lu = splu(lv)
+        except RuntimeError as exc:
+            raise NumericalError(
+                f"singular Liouvillian (g0={sys.g0}, kappa={sys.kappa}, "
+                f"gamma={sys.gamma}, omega_p={omega_p}, drive={drive}): {exc}") from exc
+        x = lu.solve(rhs)
+        x = x + lu.solve(rhs - lv @ x)   # one refinement step
+        if not np.all(np.isfinite(x)):
+            raise NumericalError("steady-state solve returned non-finite entries")
+
+        rho = x.reshape((dim, dim), order="F")
+        pops = np.real(np.diag(rho))
+        mean_n = float(photons @ pops)
+        transmission = mean_n * (sys.kappa / drive) ** 2 if drive > 0 else 0.0
+        top_fock = float(pops[2 * sys.n_max] + pops[2 * sys.n_max + 1])
+        if top_fock > TOP_FOCK_WARN:
+            warnings.warn(f"top Fock level population {top_fock:.2e} exceeds "
+                          f"{TOP_FOCK_WARN:.0e}; increase n_max",
+                          TruncationWarning, stacklevel=3)
+        if mean_n > DRIVE_FRACTION_WARN * sys.n_max:
+            warnings.warn(f"<n> = {mean_n:.3g} exceeds {DRIVE_FRACTION_WARN} * n_max; "
+                          "drive too strong for this truncation",
+                          TruncationWarning, stacklevel=3)
+        return SteadyState(mean_n, transmission, rho, top_fock)
+
+    return solve
 
 
 def steady_state(sys: CavitySystem, drive: float, omega_p: float,
@@ -209,63 +298,7 @@ def steady_state(sys: CavitySystem, drive: float, omega_p: float,
     Warns when the truncated top Fock level is populated beyond 1e-6 or the
     drive pushes <n> past 0.1 n_max.
     """
-    if drive < 0:
-        raise ValidationError("drive amplitude must be >= 0")
-    n_levels = sys.n_max + 1
-    dim = 2 * n_levels
-    g = sys.g_at(z)
-
-    # dimensionless rates: the solve is invariant under a common rate scale
-    scale = max(sys.g0, sys.kappa, sys.gamma, abs(sys.omega_c - omega_p),
-                abs(sys.omega_a + sys.delta_e - sys.delta_b - omega_p), drive)
-    delta_c = (sys.omega_c - omega_p) / scale
-    delta_a = (sys.omega_a + sys.delta_e - sys.delta_b - omega_p) / scale
-    g_s, kappa_s, gamma_s, eps_s = (g / scale, sys.kappa / scale,
-                                    sys.gamma / scale, drive / scale)
-
-    a, sm = _operators(n_levels)
-    num = (a.conj().T @ a).tocsr()
-    h = (delta_c * num
-         + delta_a * (sm.conj().T @ sm)
-         + g_s * (a.conj().T @ sm + a @ sm.conj().T)
-         + eps_s * (a + a.conj().T)).tocsr()
-    lv = _liouvillian(h, [math.sqrt(2.0 * kappa_s) * a,
-                          math.sqrt(2.0 * gamma_s) * sm]).tolil()
-
-    # trace row replaces the first equation
-    trace_cols = np.arange(dim) * (dim + 1)
-    lv[0, :] = 0.0
-    lv[0, trace_cols] = 1.0
-    lv = lv.tocsc()
-    rhs = np.zeros(dim * dim, dtype=complex)
-    rhs[0] = 1.0
-
-    try:
-        lu = splu(lv)
-    except RuntimeError as exc:
-        raise NumericalError(
-            f"singular Liouvillian (g0={sys.g0}, kappa={sys.kappa}, "
-            f"gamma={sys.gamma}, omega_p={omega_p}, drive={drive}): {exc}") from exc
-    x = lu.solve(rhs)
-    x = x + lu.solve(rhs - lv @ x)   # one refinement step
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("steady-state solve returned non-finite entries")
-
-    rho = x.reshape((dim, dim), order="F")
-    mean_n = float(np.real(np.trace(num @ rho)))
-    transmission = mean_n * (sys.kappa / drive) ** 2 if drive > 0 else 0.0
-
-    pops = np.real(np.diag(rho))
-    top_fock = float(pops[2 * sys.n_max] + pops[2 * sys.n_max + 1])
-    if top_fock > TOP_FOCK_WARN:
-        warnings.warn(f"top Fock level population {top_fock:.2e} exceeds "
-                      f"{TOP_FOCK_WARN:.0e}; increase n_max",
-                      TruncationWarning, stacklevel=2)
-    if mean_n > DRIVE_FRACTION_WARN * sys.n_max:
-        warnings.warn(f"<n> = {mean_n:.3g} exceeds {DRIVE_FRACTION_WARN} * n_max; "
-                      "drive too strong for this truncation",
-                      TruncationWarning, stacklevel=2)
-    return SteadyState(mean_n, transmission, rho, top_fock)
+    return _probe_solver(sys, drive, z, np.array([omega_p]))(omega_p)
 
 
 def _g2_from_state(sys: CavitySystem, ss: SteadyState) -> float:
@@ -290,8 +323,9 @@ def vacuum_rabi_spectrum(sys: CavitySystem, drive: float, omega_p_grid,
                          jobs: int = 1) -> ProbeResult:
     """Map the steady state over a probe grid; peaks are local maxima.
 
-    Points are independent solves; results are merged by index, so the
-    output is identical for any ``jobs``.
+    The generator is assembled once for the whole grid; each point is one
+    sparse LU of it. Points are independent solves; results are merged by
+    index, so the output is identical for any ``jobs``.
     """
     grid = np.asarray(omega_p_grid, dtype=float)
     if grid.size == 0:
@@ -299,8 +333,10 @@ def vacuum_rabi_spectrum(sys: CavitySystem, drive: float, omega_p_grid,
     if with_g2 and sys.n_max < 3:
         raise ValidationError("g2 over the spectrum needs n_max >= 3")
 
+    solver = _probe_solver(sys, drive, z, grid)
+
     def solve(i):
-        ss = steady_state(sys, drive, float(grid[i]), z)
+        ss = solver(float(grid[i]))
         g2 = _g2_from_state(sys, ss) if with_g2 else math.nan
         return ss.transmission, ss.mean_n, g2
 

@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -376,6 +377,27 @@ def resolve_species(name: str) -> Path:
         f"species '{name}' is neither a file nor bundled data in {data_dir()}")
 
 
+# a token such as -5e6hz or -.5mt: argparse reads it as an option, since a
+# unit suffix is not a number to its negative-number test
+_SIGNED_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Write '--flag -5e6hz' as '--flag=-5e6hz' for each flag of the
+    subcommand that COMMANDS lets take any sign."""
+    command = next((COMMANDS[tok] for tok in argv if tok in COMMANDS), None)
+    if command is None:
+        return argv
+    signed = {flag.name for flag in command.flags if flag.low is None}
+    out = []
+    for tok in argv:
+        if out and out[-1] in signed and _SIGNED_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage()}")
@@ -645,7 +667,7 @@ def run(argv: list[str]) -> int:
     """Parse argv and execute one subcommand; returns the exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(argv))
         _resolve(args)
         if args.verbose:
             print(f"# magictrap {__version__}: {args.command} " + " ".join(argv[1:]))

@@ -70,6 +70,8 @@ class Measurement:
     sys_hz: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.value_hz, self.stat_hz, self.sys_hz))):
+            raise ValidationError(f"measurement {self.site}: values must be finite")
         if self.stat_hz <= 0 or self.sys_hz <= 0:
             raise ValidationError(f"measurement {self.site}: sigmas must be > 0")
 

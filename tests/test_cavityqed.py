@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.sparse.linalg import spsolve
 
 from magictrap.atomdata import data_dir
 from magictrap.cavityqed import (CavitySystem, TruncationWarning,
@@ -295,6 +297,72 @@ class TestSpectrum:
         four = vacuum_rabi_spectrum(sys_, 1e-3 * KAPPA, grid, jobs=4)
         assert one.transmission.tobytes() == four.transmission.tobytes()
         assert one.mean_n.tobytes() == four.mean_n.tobytes()
+
+
+def reference_steady_state(sys_, eps, omega_p, z=0.0):
+    """Per-point reference: the probe detunings sit inside H and the full
+    generator is assembled for this one point (rates in units of kappa),
+    with the trace condition in place of the first row. Returns (<n>, g2)."""
+    n_levels = sys_.n_max + 1
+    dim = 2 * n_levels
+    unit = sys_.kappa
+    a = sp.kron(sp.diags(np.sqrt(np.arange(1, n_levels)), 1), sp.identity(2), format="csr")
+    sm = sp.kron(sp.identity(n_levels), sp.csr_matrix([[0.0, 1.0], [0.0, 0.0]]), format="csr")
+    h = ((sys_.omega_c - omega_p) / unit * (a.T @ a)
+         + (sys_.omega_a + sys_.delta_e - sys_.delta_b - omega_p) / unit * (sm.T @ sm)
+         + sys_.g_at(z) / unit * (a.T @ sm + a @ sm.T) + eps / unit * (a + a.T))
+    ident = sp.identity(dim)
+    lv = -1j * (sp.kron(ident, h) - sp.kron(h.T, ident))
+    for rate, c in ((sys_.kappa, a), (sys_.gamma, sm)):
+        c = math.sqrt(2 * rate / unit) * c
+        cdc = c.T @ c
+        lv = lv + sp.kron(c, c) - 0.5 * sp.kron(ident, cdc) - 0.5 * sp.kron(cdc.T, ident)
+    lv = lv.tolil()
+    lv[0, :] = 0.0
+    lv[0, np.arange(dim) * (dim + 1)] = 1.0
+    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs[0] = 1.0
+    lv = lv.tocsc()
+    x = spsolve(lv, rhs)
+    x = x + spsolve(lv, rhs - lv @ x)
+    pops = np.real(np.diag(x.reshape((dim, dim), order="F")))
+    photons = np.repeat(np.arange(n_levels), 2)
+    mean_n = photons @ pops
+    return mean_n, (photons * (photons - 1)) @ pops / mean_n**2
+
+
+class TestGridSolver:
+    """The spectrum assembles the generator once for its grid; each point
+    must agree with the one-point path and with the per-point reference."""
+
+    @pytest.mark.parametrize("n_max,points", [(5, 21), (8, 15), (20, 5)])
+    def test_spectrum_matches_per_point_solves(self, n_max, points):
+        sys_ = make_system(n_max=n_max, delta_b=-0.2 * G0, delta_e=0.15 * G0,
+                           mode_wavelength_m=852e-9)
+        z, eps = 90e-9, 0.05 * KAPPA
+        grid = np.linspace(-2.5 * G0, 1.5 * G0, points)
+        result = vacuum_rabi_spectrum(sys_, eps, grid, z=z, with_g2=True)
+        for i, omega_p in enumerate(grid.tolist()):
+            ss = steady_state(sys_, eps, omega_p, z)
+            assert result.transmission[i] == pytest.approx(ss.transmission, rel=1e-12)
+            assert result.mean_n[i] == pytest.approx(ss.mean_n, rel=1e-12)
+            assert result.g2[i] == pytest.approx(g2_zero(sys_, eps, omega_p, z), rel=1e-12)
+            mean_n, g2 = reference_steady_state(sys_, eps, omega_p, z)
+            assert result.mean_n[i] == pytest.approx(mean_n, rel=1e-10)
+            assert result.g2[i] == pytest.approx(g2, rel=1e-10)
+
+    def test_overdriven_spectrum_warns(self):
+        with pytest.warns(TruncationWarning):
+            vacuum_rabi_spectrum(make_system(n_max=2), 2.0 * KAPPA,
+                                 np.linspace(-1.5 * G0, -0.5 * G0, 5))
+
+    def test_jobs_identical_bytes_at_nmax_20(self):
+        sys_ = make_system(n_max=20, delta_e=0.1 * G0)
+        grid = np.linspace(-1.5 * G0, 1.5 * G0, 6)
+        one = vacuum_rabi_spectrum(sys_, 0.05 * KAPPA, grid, with_g2=True, jobs=1)
+        two = vacuum_rabi_spectrum(sys_, 0.05 * KAPPA, grid, with_g2=True, jobs=2)
+        for field in ("transmission", "mean_n", "g2"):
+            assert getattr(one, field).tobytes() == getattr(two, field).tobytes()
 
 
 class TestG2:

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -408,7 +410,10 @@ def test_magic_points_refuse_non_finite(tmp_path):
 def test_non_finite_result_exits_2_without_output(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ledger.csv").write_text(
-        "site,value_hz_minus_nu0,stat_hz,sys_hz\na,nan,1,1\nb,70,1,1\n")
+        "site,value_hz_minus_nu0,stat_hz,sys_hz\na,60,1,1\nb,70,1,1\n")
+    result = cli.aggregate_measurements(cli.read_measurement_ledger("ledger.csv"))
+    monkeypatch.setattr(cli, "aggregate_measurements",
+                        lambda rows: dataclasses.replace(result, mean_hz=math.nan))
     assert run(["aggregate", "ledger.csv"]) == 2
     assert "numerical failure" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.csv"]
@@ -426,3 +431,37 @@ def test_config_values_pass_the_same_checks(tmp_path, monkeypatch):
     (tmp_path / "run.ini").write_text("kappa = 2e6hz\n")  # no section header
     assert run(["cavity-spectrum", "--g0", "20e6hz", "--config", "run.ini"]) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
+@pytest.mark.parametrize("row", ["a,nan,1,1", "a,70,nan,1", "a,70,1,inf"])
+def test_non_finite_ledger_exits_1_without_output(row, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ledger.csv").write_text(
+        f"site,value_hz_minus_nu0,stat_hz,sys_hz\n{row}\nb,70,1,1\n")
+    assert run(["aggregate", "ledger.csv"]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cavity-spectrum", *CAVITY_ARGS, "--delta-b", "-5e6hz"],
+    ["cavity-spectrum", *CAVITY_ARGS, "--from", "-40e6hz", "--to", "-1e6hz"],
+    ["cavity-spectrum", *CAVITY_ARGS, "--delta-e", "-.5e6hz", "--delta-b", "3e6hz"],
+    ["zeeman", "--dg", "-108.4hz", "--field", "-0.3mt"],
+    ["ladder", "--g0", "1e6hz", "--n", "2", "--delta-e", "-2e6hz"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_negative_quantity_as_its_own_token(argv, tmp_path, monkeypatch):
+    """'--flag -5e6hz' reads like '--flag=-5e6hz' for a flag that takes any sign."""
+    monkeypatch.chdir(tmp_path)
+    joined = re.sub(r" (-\.?\d)", r"=\1", " ".join(argv)).split()
+    assert len(joined) < len(argv)
+    assert run(argv + ["--out", "apart.csv"]) == 0
+    assert run(joined + ["--out", "joined.csv"]) == 0
+    assert (tmp_path / "apart.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+
+
+def test_negative_value_for_a_positive_flag_still_exits_1(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["cavity-spectrum", "--g0", "20e6hz", "--kappa", "-2e6hz",
+                "--gamma", "2e6hz", "--points", "5"]) == 1
+    assert list(tmp_path.iterdir()) == []

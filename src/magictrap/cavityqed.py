@@ -24,8 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .constants import HBAR, VACUUM_PERMITTIVITY
 from .errors import NumericalError, ValidationError
@@ -180,6 +178,8 @@ def blockade_detuning(g0: float) -> float:
 def _operators(n_levels: int):
     """Cavity annihilation and atomic lowering on the joint space
     (cavity tensor atom, atom basis ordered [g, e])."""
+    import scipy.sparse as sp
+
     a_c = sp.diags(np.sqrt(np.arange(1, n_levels)), 1)
     id_c = sp.identity(n_levels)
     id_a = sp.identity(2)
@@ -191,6 +191,8 @@ def _operators(n_levels: int):
 
 def _liouvillian(h: sp.spmatrix, collapse: list[sp.spmatrix]) -> sp.spmatrix:
     """Vectorized Lindblad generator, column-major vec convention."""
+    import scipy.sparse as sp
+
     dim = h.shape[0]
     ident = sp.identity(dim)
     lv = -1j * (sp.kron(ident, h) - sp.kron(h.T, ident))
@@ -213,6 +215,9 @@ def _probe_solver(sys: CavitySystem, drive: float, z: float, grid: np.ndarray):
     to a copy of L0's values before its own sparse LU. The probe is measured
     from omega_C so that an optical omega_C does not cancel against it.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     if drive < 0:
         raise ValidationError("drive amplitude must be >= 0")
     n_levels = sys.n_max + 1

@@ -510,14 +510,11 @@ def _run_trap(args, argv):
     alpha = alpha_scalar(species, state, lam)
     if sum(v is not None for v in (args.depth_erec, args.power, args.intensity)) != 1:
         raise ValidationError("give exactly one of --power, --intensity, or --depth-erec")
-    anti_trapped = False
     if args.depth_erec is not None:
         depth_j = args.depth_erec * recoil(species.mass_kg, lam)[0]
     else:
         field = FieldConfig(lam, power_w=args.power, intensity_w_m2=args.intensity)
-        shift = stark_shift(alpha, intensity_at(field, geom, 0.0, 0.0))
-        anti_trapped = shift.potential_j > 0
-        depth_j = abs(shift.potential_j)
+        depth_j = abs(stark_shift(alpha, intensity_at(field, geom, 0.0, 0.0)).potential_j)
     tp = trap_parameters(depth_j, geom, lam, species.mass_kg,
                          args.probe if args.probe is not None else lam, args.gravity)
     rows = [["state", state, ""], ["alpha_scalar_au", alpha.alpha_scalar_au, "a.u."],
@@ -528,7 +525,7 @@ def _run_trap(args, argv):
     summary = [f"trap at {lam*1e9:g} nm: depth {tp.depth_rec:.2f} E_rec, "
                f"nu_z {tp.nu_axial_hz/1e3:.2f} kHz, nu_r {tp.nu_radial_hz:.1f} Hz, "
                f"eta {tp.eta:.3f}"]
-    if anti_trapped:
+    if alpha.alpha_scalar_au < 0:
         summary.append(f"note: alpha({state}) < 0 here; the state is anti-trapped "
                        "(depth shown is the potential magnitude)")
     return _finish(args, argv, ["quantity", "value", "unit"], rows,

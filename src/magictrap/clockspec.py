@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ValidationError
 
@@ -132,6 +131,7 @@ def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
                 break
             start = his[-1] + step
         if float(prob(hi)) <= half:
+            from scipy.optimize import brentq
             root = brentq(lambda d: float(prob(d)) - half, hi - step, hi,
                           xtol=1e-12, rtol=1e-14)
             fwhm = 2.0 * root

@@ -367,6 +367,8 @@ def scan_delta_alpha(species: Species, state1: str, state2: str,
     """
     if state1 == state2:
         raise ValidationError("state1 = state2: difference is identically zero")
+    if not (0 < lo_m < hi_m):
+        raise ValidationError(f"bad scan interval ({lo_m}, {hi_m})")
     terms1 = _StateTerms(species, state1)
     terms2 = _StateTerms(species, state2)
     lams = np.geomspace(lo_m, hi_m, points)

@@ -239,6 +239,12 @@ class TestSubcommands:
                     "--power", "0.5w"])
         assert code == 0
         assert "anti-trapped" in capsys.readouterr().out
+        # the note follows the sign of alpha whatever sets the depth
+        code = run(["trap", "--species", "sr87", "--state", "3P0",
+                    "--lattice-lambda", "2um", "--waist", "30um",
+                    "--depth-erec", "50"])
+        assert code == 0
+        assert "anti-trapped" in capsys.readouterr().out
 
     def test_species_resolution(self):
         assert resolve_species("sr87").name == "sr87.lines"
@@ -464,4 +470,16 @@ def test_negative_value_for_a_positive_flag_still_exits_1(tmp_path, monkeypatch)
     monkeypatch.chdir(tmp_path)
     assert run(["cavity-spectrum", "--g0", "20e6hz", "--kappa", "-2e6hz",
                 "--gamma", "2e6hz", "--points", "5"]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bounds", [("900nm", "700nm"), ("700nm", "700nm")])
+def test_polarizability_needs_increasing_bounds(bounds, tmp_path, monkeypatch, capsys):
+    """A reversed or empty window exits 1, as it does for magic."""
+    monkeypatch.chdir(tmp_path)
+    lo, hi = bounds
+    assert run(["polarizability", "--species", "sr87", "--state1", "1S0",
+                "--state2", "3P0", "--from", lo, "--to", hi]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("magictrap: bad scan interval") and len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []

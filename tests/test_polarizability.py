@@ -243,6 +243,12 @@ def test_scan_delta_alpha(sr87):
     assert int(np.sum(np.sign(d[:-1]) * np.sign(d[1:]) < 0)) == 1
 
 
+@pytest.mark.parametrize("lo, hi", [(900e-9, 700e-9), (700e-9, 700e-9), (0.0, 700e-9)])
+def test_scan_delta_alpha_rejects_bad_interval(sr87, lo, hi):
+    with pytest.raises(ValidationError, match="bad scan interval"):
+        scan_delta_alpha(sr87, "1S0", "3P0", lo, hi, 5)
+
+
 def test_pole_error_propagates_through_differential_shift(sr87):
     lam_679 = C / next(ln.frequency_hz for ln in sr87.lines
                        if ln.lower == "3P0" and ln.upper == "3S1")

@@ -267,6 +267,10 @@ COMMANDS = {
 }
 
 
+# rows of a float table formatted by one '%' operation in emit
+_BLOCK_ROWS = 1024
+
+
 def _number(value) -> str:
     """17 significant digits; a non-finite number is refused."""
     if isinstance(value, (int, np.integer)):
@@ -335,20 +339,31 @@ def emit(columns, rows, fmt: str, path: Path, meta: dict | None = None,
     empty table is header-only. JSON is {meta, columns, rows}. Output bytes
     depend only on the data; run metadata lands in <path>.meta.json. A
     non-finite number raises NumericalError and leaves no file behind.
+
+    ``rows`` is a sequence of rows, or a 2-D float array, which is written
+    ``_BLOCK_ROWS`` rows per '%' format with the same bytes ('%.17g' and
+    f'{x:.17g}' share one float-to-string routine).
     """
     meta, meta_text = _meta(meta)
     if fmt == "csv":
         head = f"# magictrap v{__version__}\n" + ",".join(columns) + "\n"
-        body = (",".join(map(_fmt, row)) + "\n" for row in rows)
-        tail = ""
+        row, sep, cell, tail = "{}\n", "", _fmt, ""
     elif fmt == "json":
         head = ('{"meta":{' + meta_text + '},"columns":['
                 + ",".join(json.dumps(c) for c in columns) + '],"rows":[')
-        body = (("," if i else "") + "[" + ",".join(map(_json_value, row)) + "]"
-                for i, row in enumerate(rows))
-        tail = "]}\n"
+        row, sep, cell, tail = "[{}]", ",", _json_value, "]}\n"
     else:
         raise ValidationError(f"unknown output format '{fmt}'")
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        bad = ~np.isfinite(rows)
+        if bad.any():
+            raise NumericalError(f"refusing to write the non-finite value {float(rows[bad][0])}")
+        template = row.format(",".join(["%.17g"] * rows.shape[1]))
+        blocks = (rows[i:i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS))
+        texts = (sep.join([template] * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
+    else:
+        texts = (row.format(",".join(map(cell, r))) for r in rows)
+    body = ((sep if i else "") + text for i, text in enumerate(texts))
     _write(path, itertools.chain((head,), body, (tail,)), meta, argv)
 
 
@@ -463,8 +478,8 @@ SCAN_COLUMNS = ["lambda_nm", "alpha_au_state1", "alpha_au_state2", "delta_alpha_
 def _emit_scan(species, args, fmt: str, path: Path, argv) -> int:
     """The delta-alpha table of both polarizability and magic --scan-out."""
     lams, a1, a2, d = scan_delta_alpha(species, args.state1, args.state2,
-                                       args.lo, args.hi, args.points, jobs=args.jobs)
-    rows = np.column_stack((lams * 1e9, a1, a2, d)).tolist()
+                                       args.lo, args.hi, args.points)
+    rows = np.column_stack((lams * 1e9, a1, a2, d))
     emit(SCAN_COLUMNS, rows, fmt, path, meta=_scan_meta(species, args), argv=argv)
     return len(rows)
 
@@ -550,7 +565,7 @@ def _run_clock_line(args, argv):
         summary.append(f"Q at observed width {args.observed_width:g} Hz: "
                        f"{quality_factor(nu_clock, args.observed_width):.3e}")
     return _finish(args, argv, ["detuning_hz", "excitation"],
-                   np.column_stack((trace.detuning_hz, trace.response)).tolist(),
+                   np.column_stack((trace.detuning_hz, trace.response)),
                    {"omega_rad_s": omega, "duration_s": duration}, *summary)
 
 
@@ -572,7 +587,7 @@ def _run_sidebands(args, argv):
     ratio = (weights["red_sideband"] / weights["blue_sideband"]
              if weights["blue_sideband"] > 0 else 0.0)
     return _finish(args, argv, ["detuning_hz", "amplitude"],
-                   np.column_stack((trace.detuning_hz, trace.response)).tolist(),
+                   np.column_stack((trace.detuning_hz, trace.response)),
                    {"eta": args.eta, "nbar": args.nbar, "nu_z_hz": args.nu_z},
                    "features: " + ", ".join(f"{f.name}@{f.offset_hz:+g} Hz (w={f.weight:.4g})"
                                             for f in trace.labels),

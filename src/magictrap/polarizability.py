@@ -90,6 +90,15 @@ class _StateTerms:
         self.omega_au = np.asarray(omega)
         self.d2_au = np.asarray(d2)
         self.j_partner = np.asarray(j_partner)
+        # 6-j weights of the vector (J > 0) and tensor (J >= 1) line sums
+        J = self.J
+        self.vector_w = self.tensor_w = None
+        if J > 0:
+            self.vector_w = np.array([(-1.0) ** round(J + jk + 1) * wigner_6j(1, 1, 1, J, jk, J)
+                                      for jk in self.j_partner])
+        if J >= 1:
+            self.tensor_w = np.array([(-1.0) ** round(J + jk) * wigner_6j(1, 2, 1, J, jk, J)
+                                      for jk in self.j_partner])
 
     def guard_check(self, omega_au: float) -> None:
         if self.omega_au.size == 0:
@@ -119,30 +128,24 @@ def _scalar_sum(terms: _StateTerms, omega):
 
 
 def _vector_sum(terms: _StateTerms, omega):
-    J = terms.J
-    if J == 0:
+    if terms.vector_w is None:
         return np.zeros(np.shape(omega))
+    J = terms.J
     pref = math.sqrt(6.0 * J / ((J + 1.0) * (2.0 * J + 1.0)))
-    weights = np.array([
-        (-1.0) ** round(J + jk + 1) * wigner_6j(1, 1, 1, J, jk, J)
-        for jk in terms.j_partner])
     w = np.asarray(omega)[..., None]
-    res = (weights * terms.d2_au * 2.0 * w
+    res = (terms.vector_w * terms.d2_au * 2.0 * w
            / (terms.omega_au**2 - w**2)).sum(axis=-1)
     return pref * res
 
 
 def _tensor_sum(terms: _StateTerms, omega):
-    J = terms.J
-    if J in (0, 0.5):
+    if terms.tensor_w is None:
         return np.zeros(np.shape(omega))
+    J = terms.J
     pref = math.sqrt(10.0 * J * (2.0 * J - 1.0)
                      / (3.0 * (J + 1.0) * (2.0 * J + 1.0) * (2.0 * J + 3.0)))
-    weights = np.array([
-        (-1.0) ** round(J + jk) * wigner_6j(1, 2, 1, J, jk, J)
-        for jk in terms.j_partner])
     w = np.asarray(omega)[..., None]
-    res = (weights * terms.d2_au * 2.0 * terms.omega_au
+    res = (terms.tensor_w * terms.d2_au * 2.0 * terms.omega_au
            / (terms.omega_au**2 - w**2)).sum(axis=-1)
     return pref * res
 
@@ -359,9 +362,9 @@ def find_magic(species: Species, state1: str, state2: str,
 
 
 def scan_delta_alpha(species: Species, state1: str, state2: str,
-                     lo_m: float, hi_m: float, points: int = 200,
-                     jobs: int = 1):
-    """(wavelengths, alpha1_au, alpha2_au, delta_au) on a log-spaced grid.
+                     lo_m: float, hi_m: float, points: int = 200):
+    """(wavelengths, alpha1_au, alpha2_au, delta_au) on a log-spaced grid,
+    with delta_au = alpha1_au - alpha2_au.
 
     Grid points that land inside a pole guard band are dropped.
     """
@@ -381,8 +384,4 @@ def scan_delta_alpha(species: Species, state1: str, state2: str,
     omega = omega[keep]
     a1 = _scalar_sum(terms1, omega)
     a2 = _scalar_sum(terms2, omega)
-    if jobs > 1:  # delta recomputed chunked only to honor the jobs contract
-        d = _delta_alpha_grid(terms1, terms2, lams, jobs)
-    else:
-        d = a1 - a2
-    return lams, a1, a2, d
+    return lams, a1, a2, a1 - a2

@@ -80,6 +80,24 @@ class TestEmit:
         emit(["x", "y"], rows, "json", b, meta={"k": 1})
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_float_array_writes_the_bytes_of_the_per_cell_path(self, tmp_path, fmt):
+        edges = [-0.0, 5e-324, 1e300, 1e16, 1e17, 1 / 3, -1.7976931348623157e308, 0.1]
+        count = 3 * (cli._BLOCK_ROWS + 1)  # one block and one row
+        rng = np.random.default_rng(5)
+        wide = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
+        table = np.concatenate((edges, wide))[:count].reshape(-1, 3)
+        assert len(table) == cli._BLOCK_ROWS + 1
+        emit(["x", "y", "z"], table, fmt, tmp_path / f"array.{fmt}", meta={"k": 1})
+        emit(["x", "y", "z"], table.tolist(), fmt, tmp_path / f"cells.{fmt}", meta={"k": 1})
+        assert (tmp_path / f"array.{fmt}").read_bytes() == (tmp_path / f"cells.{fmt}").read_bytes()
+
+    def test_empty_float_array(self, tmp_path):
+        emit(["x", "y"], np.empty((0, 2)), "csv", tmp_path / "e.csv")
+        assert (tmp_path / "e.csv").read_text() == "# magictrap v0.1.0\nx,y\n"
+        emit(["x", "y"], np.empty((0, 2)), "json", tmp_path / "e.json")
+        assert (tmp_path / "e.json").read_text().endswith('"columns":["x","y"],"rows":[]}\n')
+
 
 class TestExitCodes:
     def test_unknown_flag_prints_usage_and_exits_1(self):
@@ -384,11 +402,13 @@ def test_clock_line_carrier_node_reports_undefined_fwhm(tmp_path, monkeypatch, c
         np.column_stack((trace.detuning_hz, trace.response)).tolist()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_emit_refuses_non_finite_and_writes_nothing(tmp_path, fmt):
+@pytest.mark.parametrize("fmt, table", [("csv", list), ("json", list), ("csv", np.array),
+                                        ("json", np.array)],
+                         ids=["csv", "json", "csv-array", "json-array"])
+def test_emit_refuses_non_finite_and_writes_nothing(tmp_path, fmt, table):
     out = tmp_path / f"t.{fmt}"
-    with pytest.raises(NumericalError):
-        emit(["a", "b"], [[1.0, 2.0], [3.0, math.nan]], fmt, out)
+    with pytest.raises(NumericalError, match="non-finite value nan$"):
+        emit(["a", "b"], table([[1.0, 2.0], [3.0, math.nan]]), fmt, out)
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(NumericalError):
         emit(["a"], [[1.0]], fmt, out, meta={"drive": math.inf})
@@ -399,9 +419,10 @@ def test_failed_emit_leaves_previous_output_intact(tmp_path):
     out = tmp_path / "t.csv"
     emit(["a"], [[1.0]], "csv", out)
     before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
-    with pytest.raises(NumericalError):
-        emit(["a"], [[-math.inf]], "csv", out)
-    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+    for table in (list, np.array):  # per-cell and float-array paths
+        with pytest.raises(NumericalError, match="non-finite value -inf$"):
+            emit(["a"], table([[2.0], [-math.inf], [math.nan]]), "csv", out)
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
 
 def test_magic_points_refuse_non_finite(tmp_path):

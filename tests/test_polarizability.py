@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import synth_species
+from magictrap.angular import wigner_6j
 from magictrap.errors import PoleError, ValidationError
 from magictrap.fieldtrap import CircularPolarization, LinearPolarization
 from magictrap.polarizability import (alpha_m_resolved, alpha_scalar,
@@ -222,6 +223,21 @@ class TestFindMagic:
         one = find_magic(sr87, "1S0", "3P0", (700e-9, 900e-9), jobs=1)
         four = find_magic(sr87, "1S0", "3P0", (700e-9, 900e-9), jobs=4)
         assert [p.wavelength_m for p in one] == [p.wavelength_m for p in four]
+
+    def test_sublevel_search_computes_6j_weights_once(self, sr87, monkeypatch):
+        import magictrap.polarizability as pz
+        calls = []
+
+        def counting_6j(*args):
+            calls.append(args)
+            return wigner_6j(*args)
+
+        monkeypatch.setattr(pz, "wigner_6j", counting_6j)
+        pts = find_magic(sr87, "1S0", "3P1", (300e-9, 3000e-9),
+                         pol=CircularPolarization(+1), m1=0, m2=1)
+        assert pts  # each bisected root evaluates the vector and tensor sums ~50 times
+        # one vector and one tensor weight per 3P1 line; the J = 0 state needs none
+        assert len(calls) == 2 * len(sr87.lines_touching("3P1"))
 
     def test_pole_splitting_finds_crossing_near_line(self, sr87):
         """The 650-700 nm window contains the 679/689 nm poles; the scan must

@@ -10,17 +10,18 @@ Conventions (documented; the literature is ambiguous):
     excited levels at the atom's position; the effective atomic frequency
     is omega_A + delta_e - delta_b.
 
-Steady states come from a direct sparse solve of the vectorized Lindblad
-generator with one row replaced by the trace condition. The generator is
-affine in the probe frequency, L(omega_p) = L0 + omega_p D with D diagonal,
-so it is assembled once per probe grid and each point costs one sparse LU.
+Steady states come from a direct solve of the vectorized Lindblad generator
+with the trace condition in place of one equation, in numpy alone. With
+N = a'a + sigma+ sigma-, rho_ij has coherence order q = N_i - N_j; only the
+drive changes q, by +-1, so the generator is block tridiagonal in q and
+the probe frequency shifts only the diagonal of each block. The blocks are
+assembled once per probe grid and eliminated for stacks of probe points.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ from .errors import NumericalError, ValidationError
 # Fock-truncation hygiene thresholds
 TOP_FOCK_WARN = 1e-6
 DRIVE_FRACTION_WARN = 0.1
+# bytes of transfer matrices one stack of probe points may hold
+CHUNK_BYTES = 4 << 20
 
 
 class TruncationWarning(UserWarning):
@@ -175,143 +178,147 @@ def blockade_detuning(g0: float) -> float:
     return (math.sqrt(2.0) - 1.0) * g0
 
 
-def _operators(n_levels: int):
-    """Cavity annihilation and atomic lowering on the joint space
-    (cavity tensor atom, atom basis ordered [g, e])."""
-    import scipy.sparse as sp
-
-    a_c = sp.diags(np.sqrt(np.arange(1, n_levels)), 1)
-    id_c = sp.identity(n_levels)
-    id_a = sp.identity(2)
-    sm_a = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    a = sp.kron(a_c, id_a, format="csr")
-    sm = sp.kron(id_c, sm_a, format="csr")
-    return a, sm
-
-
-def _liouvillian(h: sp.spmatrix, collapse: list[sp.spmatrix]) -> sp.spmatrix:
-    """Vectorized Lindblad generator, column-major vec convention."""
-    import scipy.sparse as sp
-
-    dim = h.shape[0]
-    ident = sp.identity(dim)
-    lv = -1j * (sp.kron(ident, h) - sp.kron(h.T, ident))
+def _block(ops, rows, cols):
+    """Entries L[i + j dim, k + l dim] of the vectorised generator for row
+    pairs (i, j) and column pairs (k, l), with real H and jump operators c:
+    -i (H_ik d_jl - H_lj d_ik) + sum_c (c_ik c_jl - (c'c)_ik d_jl / 2 - (c'c)_lj d_ik / 2)."""
+    h, collapse, cdc = ops
+    (i, j), (k, l) = (rows[0][:, None], rows[1][:, None]), cols
+    same_i, same_j = i == k, j == l
+    out = (-1j * (h[i, k] * same_j - h[l, j] * same_i)
+           - 0.5 * (cdc[i, k] * same_j + cdc[l, j] * same_i))
     for c in collapse:
-        cdc = (c.conj().T @ c).tocsr()
-        lv = lv + (sp.kron(c.conj(), c)
-                   - 0.5 * sp.kron(ident, cdc)
-                   - 0.5 * sp.kron(cdc.T, ident))
-    return lv
+        out += c[i, k] * c[j, l]
+    return out
 
 
-def _probe_solver(sys: CavitySystem, drive: float, z: float, grid: np.ndarray):
-    """Steady-state solver for every probe frequency of ``grid``.
-
-    The generator is affine in the probe: with w = (omega_p - omega_C)/scale,
-    L(omega_p) = L0 + w D, where the probe enters H only as
-    -w (a'a + sigma+ sigma-), whose commutator is the diagonal D. L0 is
-    assembled once, in CSC form with the trace row in place of the first
-    equation and every diagonal entry stored, so each point only adds w D
-    to a copy of L0's values before its own sparse LU. The probe is measured
-    from omega_C so that an optical omega_C does not cancel against it.
+class _CoherenceBlocks:
+    """The steady-state equations of one system, cut by coherence order
+    q = -(n_max + 1) .. n_max + 1. The trace condition replaces the equation
+    of rho_00, in block 0. The probe, as w = (omega_p - omega_C)/scale, adds
+    i q w to the diagonal of block q (measured from omega_C so that an
+    optical omega_C does not cancel against it). Block -q holds the
+    transposes of block q's pairs in the same order; the generator maps
+    Hermitian matrices to Hermitian ones, so block -q's equations are the
+    conjugates of block q's and only q > 0 is eliminated.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
 
-    if drive < 0:
-        raise ValidationError("drive amplitude must be >= 0")
-    n_levels = sys.n_max + 1
-    dim = 2 * n_levels
-    size = dim * dim
+    def __init__(self, sys: CavitySystem, drive: float, z: float, grid: np.ndarray):
+        if drive < 0:
+            raise ValidationError("drive amplitude must be >= 0")
+        self.sys, self.drive = sys, drive
+        n_levels = sys.n_max + 1
+        self.dim = 2 * n_levels
 
-    # dimensionless rates: the solve is invariant under a common rate scale,
-    # fixed by the grid's extreme detunings (a one-point grid gives that
-    # point's own scale)
-    lo, hi = float(np.min(grid)), float(np.max(grid))
-    omega_atom = sys.omega_a + sys.delta_e - sys.delta_b
-    scale = max(sys.g0, sys.kappa, sys.gamma, drive,
-                abs(sys.omega_c - lo), abs(sys.omega_c - hi),
-                abs(omega_atom - lo), abs(omega_atom - hi))
-    g_s, kappa_s, gamma_s, eps_s = (sys.g_at(z) / scale, sys.kappa / scale,
-                                    sys.gamma / scale, drive / scale)
+        # dimensionless rates: the solve is invariant under a common rate
+        # scale, fixed by the grid's extreme detunings (a one-point grid
+        # gives that point's own scale)
+        lo, hi = float(np.min(grid)), float(np.max(grid))
+        omega_atom = sys.omega_a + sys.delta_e - sys.delta_b
+        self.scale = max(sys.g0, sys.kappa, sys.gamma, drive,
+                         abs(sys.omega_c - lo), abs(sys.omega_c - hi),
+                         abs(omega_atom - lo), abs(omega_atom - hi))
+        g_s, kappa_s, gamma_s, eps_s = (sys.g_at(z) / self.scale, sys.kappa / self.scale,
+                                        sys.gamma / self.scale, drive / self.scale)
 
-    a, sm = _operators(n_levels)
-    h0 = ((omega_atom - sys.omega_c) / scale * (sm.conj().T @ sm)
-          + g_s * (a.conj().T @ sm + a @ sm.conj().T)
-          + eps_s * (a + a.conj().T))
-    gen = _liouvillian(h0, [math.sqrt(2.0 * kappa_s) * a,
-                            math.sqrt(2.0 * gamma_s) * sm]).tocoo()
+        # cavity (x) atom with the atom basis [g, e]: index i = 2 n + s
+        a = np.kron(np.diag(np.sqrt(np.arange(1.0, n_levels)), 1), np.eye(2))
+        sm = np.kron(np.eye(n_levels), [[0.0, 1.0], [0.0, 0.0]])
+        h = ((omega_atom - sys.omega_c) / self.scale * (sm.T @ sm)
+             + g_s * (a.T @ sm + a @ sm.T) + eps_s * (a + a.T))
+        collapse = (math.sqrt(2.0 * kappa_s) * a, math.sqrt(2.0 * gamma_s) * sm)
+        ops = (h, collapse, sum(c.T @ c for c in collapse))
 
-    # trace row replaces the first equation; explicit zeros keep every
-    # diagonal position stored
-    keep = gen.row != 0
-    diag = np.arange(size)
-    rows = np.concatenate((gen.row[keep], np.zeros(dim, dtype=int), diag))
-    cols = np.concatenate((gen.col[keep], np.arange(dim) * (dim + 1), diag))
-    vals = np.concatenate((gen.data[keep], np.ones(dim), np.zeros(size)))
-    l0 = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
-    col_of = np.repeat(diag, np.diff(l0.indptr))
-    diag_pos = np.flatnonzero(l0.indices == col_of)
+        exc = np.arange(self.dim) // 2 + np.arange(self.dim) % 2
+        p = self.pairs = [np.nonzero(exc[:, None] - exc == q) for q in range(n_levels + 1)]
+        self.diag = [_block(ops, p[q], p[q]) for q in range(n_levels + 1)]
+        self.down = [None] + [_block(ops, p[q], p[q - 1]) for q in range(1, n_levels + 1)]
+        self.up = [_block(ops, p[q], p[q + 1]) for q in range(n_levels)]
+        self.up_neg = _block(ops, p[0], p[1][::-1])
+        # rho_00's equation, first in block 0, becomes the trace condition
+        i0, j0 = p[0]
+        self.pops = np.flatnonzero(i0 == j0)
+        self.diag[0][0] = self.up[0][0] = self.up_neg[0] = 0.0
+        self.diag[0][0, self.pops] = 1.0
+        # position in block 0 of each pair's transpose: block 0 is sorted by
+        # (i, j), so this is the order by (j, i), an involution
+        self.transpose0 = np.lexsort((i0, j0))
+        # probe points per stack, from the bytes of their transfer matrices
+        self.chunk = max(1, CHUNK_BYTES // sum(
+            16 * p[q][0].size * p[q - 1][0].size for q in range(1, n_levels + 1)))
 
-    # D = i (N_ii - N_jj) at vec index i + j dim, N = a'a + sigma+ sigma-;
-    # it vanishes on every population, the trace row's diagonal among them
-    photons = np.repeat(np.arange(n_levels), 2)
-    excitations = photons + np.tile([0, 1], n_levels)
-    d_diag = 1j * (np.tile(excitations, dim) - np.repeat(excitations, dim))
-    rhs = np.zeros(size, dtype=complex)
-    rhs[0] = 1.0
-
-    def solve(omega_p: float) -> SteadyState:
-        values = l0.data.copy()
-        values[diag_pos] += (omega_p - sys.omega_c) / scale * d_diag
-        lv = sp.csc_matrix((values, l0.indices, l0.indptr), shape=l0.shape)
+    def eliminate(self, omega_p: np.ndarray):
+        """Block 0 of the steady state for each probe frequency, and the
+        transfer matrices T_q of x_q = T_q x_{q-1} for q = 1 .. n_max + 1."""
+        w = (omega_p - self.sys.omega_c) / self.scale
+        transfers, t = [], None
         try:
-            lu = splu(lv)
-        except RuntimeError as exc:
+            for q in range(len(self.diag) - 1, 0, -1):
+                s = np.repeat(self.diag[q][None], w.size, axis=0)
+                s[:, range(s.shape[1]), range(s.shape[1])] += 1j * q * w[:, None]
+                if t is not None:
+                    s += self.up[q] @ t
+                t = -np.linalg.solve(s, self.down[q][None])
+                transfers.insert(0, t)
+            centre = (self.diag[0] + self.up[0] @ t
+                      + self.up_neg @ t.conj()[:, :, self.transpose0])
+            x0 = np.linalg.solve(centre, np.eye(centre.shape[1], 1)[None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
             raise NumericalError(
-                f"singular Liouvillian (g0={sys.g0}, kappa={sys.kappa}, "
-                f"gamma={sys.gamma}, omega_p={omega_p}, drive={drive}): {exc}") from exc
-        x = lu.solve(rhs)
-        x = x + lu.solve(rhs - lv @ x)   # one refinement step
-        if not np.all(np.isfinite(x)):
+                f"singular Liouvillian ({self.sys}, drive={self.drive}, "
+                f"omega_p={omega_p.min()}..{omega_p.max()}): {exc}") from exc
+        if not np.all(np.isfinite(x0)):
             raise NumericalError("steady-state solve returned non-finite entries")
+        return x0, transfers
 
-        rho = x.reshape((dim, dim), order="F")
-        pops = np.real(np.diag(rho))
-        mean_n = float(photons @ pops)
-        transmission = mean_n * (sys.kappa / drive) ** 2 if drive > 0 else 0.0
-        top_fock = float(pops[2 * sys.n_max] + pops[2 * sys.n_max + 1])
-        if top_fock > TOP_FOCK_WARN:
-            warnings.warn(f"top Fock level population {top_fock:.2e} exceeds "
-                          f"{TOP_FOCK_WARN:.0e}; increase n_max",
-                          TruncationWarning, stacklevel=3)
-        if mean_n > DRIVE_FRACTION_WARN * sys.n_max:
-            warnings.warn(f"<n> = {mean_n:.3g} exceeds {DRIVE_FRACTION_WARN} * n_max; "
-                          "drive too strong for this truncation",
-                          TruncationWarning, stacklevel=3)
-        return SteadyState(mean_n, transmission, rho, top_fock)
+    def rho(self, x0: np.ndarray, transfers) -> np.ndarray:
+        """The density matrix of the first probe point, by back-substitution."""
+        rho = np.zeros((self.dim, self.dim), dtype=complex)
+        rho[self.pairs[0]] = x = x0[0]
+        for (i, j), t in zip(self.pairs[1:], transfers):
+            x = t[0] @ x
+            rho[i, j], rho[j, i] = x, x.conj()
+        return rho
 
-    return solve
+
+def _observables(sys: CavitySystem, drive: float, pops: np.ndarray):
+    """<n>, transmission and top-Fock population for rows of populations in
+    basis order; each truncation warning fires once, for the worst point."""
+    mean_n = pops @ (np.arange(pops.shape[-1]) // 2)
+    transmission = mean_n * (sys.kappa / drive) ** 2 if drive > 0 else 0.0 * mean_n
+    top_fock = pops[..., -2] + pops[..., -1]
+    if np.max(top_fock) > TOP_FOCK_WARN:
+        warnings.warn(f"top Fock level population {np.max(top_fock):.2e} exceeds "
+                      f"{TOP_FOCK_WARN:.0e}; increase n_max",
+                      TruncationWarning, stacklevel=3)
+    if np.max(mean_n) > DRIVE_FRACTION_WARN * sys.n_max:
+        warnings.warn(f"<n> = {np.max(mean_n):.3g} exceeds {DRIVE_FRACTION_WARN} * n_max; "
+                      "drive too strong for this truncation",
+                      TruncationWarning, stacklevel=3)
+    return mean_n, transmission, top_fock
+
+
+def _g2(pops: np.ndarray, mean_n):
+    if np.any(mean_n <= 0.0):
+        raise ValidationError("g2(0) undefined: steady state holds no photons")
+    photons = np.arange(pops.shape[-1]) // 2
+    return pops @ (photons * (photons - 1)) / mean_n**2
 
 
 def steady_state(sys: CavitySystem, drive: float, omega_p: float,
                  z: float = 0.0) -> SteadyState:
     """Driven-dissipative steady state at probe frequency omega_p (rad/s).
 
-    Solves L[rho] = 0 with the trace constraint replacing one row of the
-    vectorized generator, then applies one step of iterative refinement.
-    Warns when the truncated top Fock level is populated beyond 1e-6 or the
-    drive pushes <n> past 0.1 n_max.
+    Solves L[rho] = 0, with the trace condition in place of the equation of
+    rho_00, by block elimination in coherence order. Warns when the
+    truncated top Fock level is populated beyond 1e-6 or the drive pushes
+    <n> past 0.1 n_max.
     """
-    return _probe_solver(sys, drive, z, np.array([omega_p]))(omega_p)
-
-
-def _g2_from_state(sys: CavitySystem, ss: SteadyState) -> float:
-    if ss.mean_n <= 0.0:
-        raise ValidationError("g2(0) undefined: steady state holds no photons")
-    nvals = np.repeat(np.arange(sys.n_max + 1), 2)
-    pops = np.real(np.diag(ss.rho))
-    return float(np.sum(nvals * (nvals - 1) * pops)) / ss.mean_n**2
+    grid = np.array([omega_p], dtype=float)
+    blocks = _CoherenceBlocks(sys, drive, z, grid)
+    rho = blocks.rho(*blocks.eliminate(grid))
+    mean_n, transmission, top_fock = _observables(sys, drive, np.real(np.diag(rho)))
+    return SteadyState(float(mean_n), float(transmission), rho, float(top_fock))
 
 
 def g2_zero(sys: CavitySystem, drive: float, omega_p: float,
@@ -320,7 +327,8 @@ def g2_zero(sys: CavitySystem, drive: float, omega_p: float,
     steady state. Requires n_max >= 3; undefined at zero photon number."""
     if sys.n_max < 3:
         raise ValidationError("g2_zero needs n_max >= 3")
-    return _g2_from_state(sys, steady_state(sys, drive, omega_p, z))
+    ss = steady_state(sys, drive, omega_p, z)
+    return float(_g2(np.real(np.diag(ss.rho)), ss.mean_n))
 
 
 def vacuum_rabi_spectrum(sys: CavitySystem, drive: float, omega_p_grid,
@@ -328,9 +336,10 @@ def vacuum_rabi_spectrum(sys: CavitySystem, drive: float, omega_p_grid,
                          jobs: int = 1) -> ProbeResult:
     """Map the steady state over a probe grid; peaks are local maxima.
 
-    The generator is assembled once for the whole grid; each point is one
-    sparse LU of it. Points are independent solves; results are merged by
-    index, so the output is identical for any ``jobs``.
+    The blocks are assembled once for the whole grid and eliminated for
+    stacks of probe points whose transfer matrices fit in CHUNK_BYTES.
+    Spectra need only the populations, so nothing is back-substituted.
+    ``jobs`` is accepted and does not change the result.
     """
     grid = np.asarray(omega_p_grid, dtype=float)
     if grid.size == 0:
@@ -338,22 +347,11 @@ def vacuum_rabi_spectrum(sys: CavitySystem, drive: float, omega_p_grid,
     if with_g2 and sys.n_max < 3:
         raise ValidationError("g2 over the spectrum needs n_max >= 3")
 
-    solver = _probe_solver(sys, drive, z, grid)
-
-    def solve(i):
-        ss = solver(float(grid[i]))
-        g2 = _g2_from_state(sys, ss) if with_g2 else math.nan
-        return ss.transmission, ss.mean_n, g2
-
-    if jobs <= 1:
-        rows = [solve(i) for i in range(grid.size)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(solve, range(grid.size)))
-
-    transmission = np.array([r[0] for r in rows])
-    mean_n = np.array([r[1] for r in rows])
-    g2 = np.array([r[2] for r in rows]) if with_g2 else None
+    blocks = _CoherenceBlocks(sys, drive, z, grid)
+    pops = np.concatenate([blocks.eliminate(grid[i:i + blocks.chunk])[0][:, blocks.pops].real
+                           for i in range(0, grid.size, blocks.chunk)])
+    mean_n, transmission, _ = _observables(sys, drive, pops)
+    g2 = _g2(pops, mean_n) if with_g2 else None
 
     peaks = tuple(
         float(grid[i]) for i in range(1, grid.size - 1)

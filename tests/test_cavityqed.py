@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 from scipy.sparse.linalg import spsolve
 
+from magictrap import cavityqed
 from magictrap.atomdata import data_dir
 from magictrap.cavityqed import (CavitySystem, TruncationWarning,
                                  blockade_detuning, coupling_g0,
                                  critical_numbers, dressed_transitions,
                                  g2_zero, jc_ladder, mode_volume,
                                  steady_state, vacuum_rabi_spectrum)
-from magictrap.errors import ValidationError
+from magictrap.errors import NumericalError, ValidationError
 
 TWO_PI = 2 * math.pi
 
@@ -331,9 +333,24 @@ def reference_steady_state(sys_, eps, omega_p, z=0.0):
     return mean_n, (photons * (photons - 1)) @ pops / mean_n**2
 
 
+def assert_matches_points(result, sys_, eps, z=0.0):
+    """Every point of a spectrum agrees with the one-point path to 1e-12,
+    whose rho is Hermitian to 1e-14, and with the per-point reference to 1e-10."""
+    for i, omega_p in enumerate(result.omega_p.tolist()):
+        ss = steady_state(sys_, eps, omega_p, z)
+        assert np.max(np.abs(ss.rho - ss.rho.conj().T)) <= 1e-14
+        assert result.transmission[i] == pytest.approx(ss.transmission, rel=1e-12)
+        assert result.mean_n[i] == pytest.approx(ss.mean_n, rel=1e-12)
+        assert result.g2[i] == pytest.approx(g2_zero(sys_, eps, omega_p, z), rel=1e-12)
+        mean_n, g2 = reference_steady_state(sys_, eps, omega_p, z)
+        assert result.mean_n[i] == pytest.approx(mean_n, rel=1e-10)
+        assert result.g2[i] == pytest.approx(g2, rel=1e-10)
+
+
 class TestGridSolver:
-    """The spectrum assembles the generator once for its grid; each point
-    must agree with the one-point path and with the per-point reference."""
+    """The spectrum assembles the generator's blocks once for its grid and
+    eliminates stacks of points; each point must agree with the one-point
+    path and with the per-point reference."""
 
     @pytest.mark.parametrize("n_max,points", [(5, 21), (8, 15), (20, 5)])
     def test_spectrum_matches_per_point_solves(self, n_max, points):
@@ -342,19 +359,51 @@ class TestGridSolver:
         z, eps = 90e-9, 0.05 * KAPPA
         grid = np.linspace(-2.5 * G0, 1.5 * G0, points)
         result = vacuum_rabi_spectrum(sys_, eps, grid, z=z, with_g2=True)
-        for i, omega_p in enumerate(grid.tolist()):
-            ss = steady_state(sys_, eps, omega_p, z)
-            assert result.transmission[i] == pytest.approx(ss.transmission, rel=1e-12)
-            assert result.mean_n[i] == pytest.approx(ss.mean_n, rel=1e-12)
-            assert result.g2[i] == pytest.approx(g2_zero(sys_, eps, omega_p, z), rel=1e-12)
-            mean_n, g2 = reference_steady_state(sys_, eps, omega_p, z)
-            assert result.mean_n[i] == pytest.approx(mean_n, rel=1e-10)
-            assert result.g2[i] == pytest.approx(g2, rel=1e-10)
+        assert_matches_points(result, sys_, eps, z)
+
+    def test_far_detuned_spectrum(self):
+        sys_ = make_system(delta_b=-0.2 * G0, delta_e=0.15 * G0, mode_wavelength_m=852e-9)
+        z, eps = 90e-9, 0.05 * KAPPA
+        grid = np.linspace(20 * G0, 100 * G0, 7)
+        result = vacuum_rabi_spectrum(sys_, eps, grid, z=z, with_g2=True)
+        assert result.mean_n.max() < 1e-7
+        assert_matches_points(result, sys_, eps, z)
+
+    def test_one_point_grid(self):
+        sys_ = make_system(n_max=8, delta_b=-0.2 * G0, delta_e=0.15 * G0)
+        result = vacuum_rabi_spectrum(sys_, 0.05 * KAPPA, np.array([-G0]), with_g2=True)
+        assert result.peak_omegas == ()
+        assert_matches_points(result, sys_, 0.05 * KAPPA)
+
+    def test_grid_not_a_multiple_of_the_chunk(self):
+        sys_ = make_system(n_max=20, delta_b=-0.2 * G0, delta_e=0.15 * G0,
+                           mode_wavelength_m=852e-9)
+        z, eps = 90e-9, 0.05 * KAPPA
+        grid = np.linspace(-2.5 * G0, 1.5 * G0, 12)
+        chunk = cavityqed._CoherenceBlocks(sys_, eps, z, grid).chunk
+        assert 1 < chunk < grid.size and grid.size % chunk
+        result = vacuum_rabi_spectrum(sys_, eps, grid, z=z, with_g2=True)
+        assert_matches_points(result, sys_, eps, z)
 
     def test_overdriven_spectrum_warns(self):
         with pytest.warns(TruncationWarning):
             vacuum_rabi_spectrum(make_system(n_max=2), 2.0 * KAPPA,
                                  np.linspace(-1.5 * G0, -0.5 * G0, 5))
+
+    def test_overdriven_spectrum_matches_reference_and_warns_once(self):
+        """Each truncation warning fires once per grid and names the worst point."""
+        sys_ = make_system(n_max=3, delta_b=-0.2 * G0, delta_e=0.15 * G0)
+        eps, grid = 2.0 * KAPPA, np.linspace(-1.5 * G0, -0.5 * G0, 5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = vacuum_rabi_spectrum(sys_, eps, grid, with_g2=True)
+        assert [w.category for w in caught] == [TruncationWarning] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            top = max(steady_state(sys_, eps, w).top_fock_population for w in grid.tolist())
+            assert_matches_points(result, sys_, eps)
+        assert str(caught[0].message).startswith(f"top Fock level population {top:.2e} exceeds")
+        assert str(caught[1].message).startswith(f"<n> = {result.mean_n.max():.3g} exceeds")
 
     def test_jobs_identical_bytes_at_nmax_20(self):
         sys_ = make_system(n_max=20, delta_e=0.1 * G0)
@@ -363,6 +412,15 @@ class TestGridSolver:
         two = vacuum_rabi_spectrum(sys_, 0.05 * KAPPA, grid, with_g2=True, jobs=2)
         for field in ("transmission", "mean_n", "g2"):
             assert getattr(one, field).tobytes() == getattr(two, field).tobytes()
+
+    def test_singular_solve_is_a_numerical_error(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(cavityqed.np.linalg, "solve", singular)
+        with pytest.raises(NumericalError, match="singular Liouvillian"):
+            steady_state(make_system(), 0.01 * KAPPA, 0.0)
+        with pytest.raises(NumericalError, match="singular Liouvillian"):
+            vacuum_rabi_spectrum(make_system(), 0.01 * KAPPA, np.linspace(-G0, G0, 3))
 
 
 class TestG2:

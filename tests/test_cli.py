@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import magictrap.cavityqed as cavityqed
 import magictrap.cli as cli
 from magictrap.cli import emit, parse_quantity, resolve_species, run
 from magictrap.errors import NumericalError, ValidationError
@@ -125,6 +126,18 @@ class TestExitCodes:
             raise NumericalError("synthetic failure")
         monkeypatch.setitem(cli._RUNNERS, "ladder", boom)
         assert run(["ladder", "--g0", "1e6hz", "--n", "2"]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["cavity-spectrum", "--points", "5", "--g2"], ["blockade"]], ids=lambda c: c[0])
+    def test_singular_cavity_solve_exits_2_and_writes_nothing(self, command, tmp_path,
+                                                              monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(cavityqed.np.linalg, "solve", singular)
+        monkeypatch.chdir(tmp_path)
+        assert run([*command, "--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz",
+                    "--nmax", "4", "--out", "out.csv"]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_success_exits_0(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -36,6 +36,9 @@ COMMANDS = [
      "--width", "3khz", "--points", "11"],
     ["aggregate", str(data_dir() / "sr87_measurements.csv")],
     ["ladder", "--g0", "1e6hz", "--n", "2"],
+    ["cavity-spectrum", "--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz",
+     "--nmax", "3", "--points", "5", "--g2"],
+    ["blockade", "--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz", "--nmax", "4"],
 ]
 codes = []
 for argv in COMMANDS:
@@ -50,15 +53,12 @@ def test_commands_without_a_solver_never_import_scipy(tmp_path):
                           env=ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0] * 8
+    assert result["codes"] == [0] * 10
     assert result["scipy"] == []
 
 
 @pytest.mark.parametrize("argv", [
     ["clock-line", "--duration", "0.5s", "--pi"],
-    ["cavity-spectrum", "--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz",
-     "--nmax", "3", "--points", "5"],
-    ["blockade", "--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz", "--nmax", "4"],
 ], ids=lambda argv: argv[0])
 def test_commands_that_solve_with_scipy_still_run(argv, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "magictrap", *argv], cwd=tmp_path,

@@ -57,8 +57,13 @@ def test_commands_without_a_solver_never_import_scipy(tmp_path):
     assert result["scipy"] == []
 
 
+# cavity-spectrum and blockade no longer load scipy (they are also in the
+# script above); they stay here to check the ``python -m magictrap`` entry point
 @pytest.mark.parametrize("argv", [
     ["clock-line", "--duration", "0.5s", "--pi"],
+    ["cavity-spectrum", "--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz",
+     "--nmax", "3", "--points", "5"],
+    ["blockade", "--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz", "--nmax", "4"],
 ], ids=lambda argv: argv[0])
 def test_commands_that_solve_with_scipy_still_run(argv, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "magictrap", *argv], cwd=tmp_path,

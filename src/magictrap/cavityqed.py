@@ -332,14 +332,12 @@ def g2_zero(sys: CavitySystem, drive: float, omega_p: float,
 
 
 def vacuum_rabi_spectrum(sys: CavitySystem, drive: float, omega_p_grid,
-                         z: float = 0.0, with_g2: bool = False,
-                         jobs: int = 1) -> ProbeResult:
+                         z: float = 0.0, with_g2: bool = False) -> ProbeResult:
     """Map the steady state over a probe grid; peaks are local maxima.
 
     The blocks are assembled once for the whole grid and eliminated for
     stacks of probe points whose transfer matrices fit in CHUNK_BYTES.
     Spectra need only the populations, so nothing is back-substituted.
-    ``jobs`` is accepted and does not change the result.
     """
     grid = np.asarray(omega_p_grid, dtype=float)
     if grid.size == 0:

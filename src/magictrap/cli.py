@@ -164,7 +164,7 @@ def _nmax(default: int) -> Flag:
 
 
 SPECIES = Flag("--species", "str", "species file or bundled name (e.g. sr87)", required=True)
-JOBS = Flag("--jobs", "int", "worker count; results independent of it (default 1)", 1,
+JOBS = Flag("--jobs", "int", "accepted and has no effect (default 1)", 1,
             cap=MAX_JOBS)
 G0 = Flag("--g0", "frequency", "coupling g0 (frequency, e.g. 34e6hz)", required=True)
 KAPPA = Flag("--kappa", "frequency", "cavity HWHM decay (frequency, e.g. 4.1e6hz)",
@@ -501,7 +501,7 @@ def _run_polarizability(args, argv):
 def _run_magic(args, argv):
     species = _load(args.species, args.calibrated)
     found = find_magic(species, args.state1, args.state2, (args.lo, args.hi),
-                       grid_points=args.points, jobs=args.jobs)
+                       grid_points=args.points)
     if args.scan_out:
         _emit_scan(species, args, "csv", Path(args.scan_out), argv)
     out = Path(args.out or "magic.json")
@@ -620,7 +620,7 @@ def _run_cavity_spectrum(args, argv):
     lo = TWO_PI * args.lo if args.lo is not None else -2.0 * sys_.g0
     hi = TWO_PI * args.hi if args.hi is not None else +2.0 * sys_.g0
     result = vacuum_rabi_spectrum(sys_, drive, np.linspace(lo, hi, args.points),
-                                  with_g2=args.g2, jobs=args.jobs)
+                                  with_g2=args.g2)
     g2 = result.g2 if result.g2 is not None else [None] * args.points
     rows = [[w / TWO_PI, t, n, g]
             for w, t, n, g in zip(result.omega_p, result.transmission, result.mean_n, g2)]

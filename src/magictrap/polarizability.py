@@ -6,9 +6,9 @@ touching i, counter-rotating term retained:
     alpha(omega) = 1/(3(2J_i+1)) * sum_k |<i||d||k>|^2 * 2 w_ki/(w_ki^2 - w^2)
 
 with signed w_ki = w_k - w_i so downward couplings enter with w_ki < 0.
-Vector and tensor parts carry the standard angular-momentum weights (6-j
-symbols over the partner J); they are implemented for J <= 1, which covers
-every state resolved here. Everything internal is in atomic units.
+Vector (J > 0) and tensor (J >= 1) parts carry the standard angular-momentum
+weights (6-j symbols over the partner J) and resolve the sublevels of any J.
+Everything internal is in atomic units.
 
 Field convention: U = -alpha * I / (2 eps0 c) with I the local
 time-averaged intensity. Hyperpolarizability O(E^4) is omitted throughout.
@@ -17,7 +17,6 @@ time-averaged intensity. Hyperpolarizability O(E^4) is omitted throughout.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,7 @@ class PolarizabilityResult:
     alpha_tensor_au: float
     per_m_au: dict                    # m -> alpha_m (a.u.) for the requested polarization
 
-    def per_m_si(self, m: int) -> float:
+    def per_m_si(self, m: float) -> float:
         return self.per_m_au[m] * POLARIZABILITY_AU
 
 
@@ -167,38 +166,40 @@ def alpha_scalar(species: Species, state: str, wavelength_m: float) -> Polarizab
         per_m_au={0: a_s} if species.level(state).J == 0 else {})
 
 
-def alpha_m_resolved(species: Species, state: str, wavelength_m: float,
-                     pol: Polarization) -> PolarizabilityResult:
-    """Sublevel-resolved polarizability under a given light polarization.
+def _alpha_m(J: float, m: float, pol: Polarization, a_s, a_v, a_t):
+    """Sublevel m of a level J from its scalar, vector and tensor parts (a.u.):
 
     alpha_m = alpha_s + A cos(kappa) (m/2J) alpha_v
               + [(3m^2 - J(J+1)) / (J(2J-1))] * [(3 cos^2 theta_p - 1)/2] alpha_t
 
-    Only J = 0 and J = 1 states are supported; for J = 0 the result is the
-    scalar value with a single m = 0 entry.
+    The vector part enters for J > 0 and the tensor part for J >= 1 only
+    (its weight is 0/0 at J = 1/2).
     """
-    level = species.level(state)
-    if level.J not in (0.0, 1.0):
-        raise ValidationError(
-            f"alpha_m_resolved supports J in {{0, 1}}, state {state} has J={level.J}")
-    if level.J == 0.0:
-        return alpha_scalar(species, state, wavelength_m)
+    alpha = a_s
+    if J > 0:
+        alpha = alpha + pol.circular_degree * (m / (2.0 * J)) * a_v
+    if J >= 1:
+        tensor_weight = (3.0 * m * m - J * (J + 1.0)) / (J * (2.0 * J - 1.0))
+        alpha = alpha + tensor_weight * pol.tensor_angle_factor * a_t
+    return alpha
 
+
+def alpha_m_resolved(species: Species, state: str, wavelength_m: float,
+                     pol: Polarization) -> PolarizabilityResult:
+    """Sublevel-resolved polarizability under a given light polarization, for
+    every m = -J..J of any J (see ``_alpha_m``). The keys of ``per_m_au``
+    are ints for integer J and halves for half-integer J; for J = 0 the
+    result is the scalar value with a single m = 0 entry.
+    """
     terms = _StateTerms(species, state)
     w = _omega_au(wavelength_m)
     terms.guard_check(w)
     a_s = float(_scalar_sum(terms, w))
     a_v = float(_vector_sum(terms, w))
     a_t = float(_tensor_sum(terms, w))
-
-    J = level.J
-    circ = pol.circular_degree
-    geom = pol.tensor_angle_factor
-    per_m = {}
-    for m in (-1, 0, 1):
-        tensor_weight = (3.0 * m * m - J * (J + 1.0)) / (J * (2.0 * J - 1.0))
-        per_m[m] = (a_s + circ * (m / (2.0 * J)) * a_v
-                    + tensor_weight * geom * a_t)
+    two_j = round(2 * terms.J)
+    ms = [k / 2 if two_j % 2 else k // 2 for k in range(-two_j, two_j + 1, 2)]
+    per_m = {m: _alpha_m(terms.J, m, pol, a_s, a_v, a_t) for m in ms}
     return PolarizabilityResult(
         state=state, wavelength_m=wavelength_m,
         alpha_scalar_au=a_s, alpha_scalar_si=a_s * POLARIZABILITY_AU,
@@ -206,7 +207,7 @@ def alpha_m_resolved(species: Species, state: str, wavelength_m: float,
 
 
 def stark_shift(alpha: PolarizabilityResult, intensity_w_m2: float,
-                m: int | None = None) -> StarkShift:
+                m: float | None = None) -> StarkShift:
     """a.c. Stark shift U = -alpha_eff I / (2 eps0 c) for time-averaged I.
 
     ``m`` selects a per_m entry; default is the scalar polarizability.
@@ -231,44 +232,6 @@ def differential_clock_shift(species: Species, state1: str, state2: str,
     return -diff_si * intensity_w_m2 / (2.0 * VACUUM_PERMITTIVITY * SPEED_OF_LIGHT * PLANCK)
 
 
-def _alpha_eval(terms: _StateTerms, omega, pol: Polarization, m: int | None):
-    """alpha (a.u.) on a scalar/array omega: scalar part, or sublevel m."""
-    a_s = _scalar_sum(terms, omega)
-    if m is None or terms.J == 0:
-        return a_s
-    J = terms.J
-    if J != 1.0:
-        raise ValidationError(f"sublevel-resolved crossing needs J in {{0, 1}}, got J={J}")
-    if abs(m) > J:
-        raise ValidationError(f"|m| = {abs(m)} exceeds J = {J}")
-    a_v = _vector_sum(terms, omega)
-    a_t = _tensor_sum(terms, omega)
-    tensor_weight = (3.0 * m * m - J * (J + 1.0)) / (J * (2.0 * J - 1.0))
-    return (a_s + pol.circular_degree * (m / (2.0 * J)) * a_v
-            + tensor_weight * pol.tensor_angle_factor * a_t)
-
-
-def _delta_alpha_grid(terms1: _StateTerms, terms2: _StateTerms,
-                      wavelengths_m: np.ndarray, jobs: int = 1,
-                      pol: Polarization = LinearPolarization(),
-                      m1: int | None = None, m2: int | None = None) -> np.ndarray:
-    omega = (SPEED_OF_LIGHT / wavelengths_m) / HARTREE_HZ
-
-    def chunk(idx):
-        return (_alpha_eval(terms1, omega[idx], pol, m1)
-                - _alpha_eval(terms2, omega[idx], pol, m2))
-
-    if jobs <= 1 or omega.size < 64:
-        return chunk(slice(None))
-    out = np.empty_like(omega)
-    bounds = np.linspace(0, omega.size, jobs + 1, dtype=int)
-    slices = [slice(bounds[i], bounds[i + 1]) for i in range(jobs)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for sl, res in zip(slices, pool.map(chunk, slices)):
-            out[sl] = res
-    return out
-
-
 def _poles_in(terms: _StateTerms, lo_m: float, hi_m: float) -> list[float]:
     """Wavelengths (m) of catalog resonances of the state inside (lo, hi)."""
     poles = []
@@ -283,18 +246,17 @@ def find_magic(species: Species, state1: str, state2: str,
                search: tuple[float, float],
                pol: Polarization | None = None,
                grid_points: int = DEFAULT_SCAN_POINTS,
-               jobs: int = 1,
-               m1: int | None = None, m2: int | None = None) -> list[MagicPoint]:
+               m1: float | None = None, m2: float | None = None) -> list[MagicPoint]:
     """All wavelengths in ``search`` where the two states' polarizabilities
     cross, refined by bisection.
 
     By default the crossing condition uses scalar polarizabilities; passing
-    ``m1``/``m2`` (with ``pol``) resolves specific sublevels of J = 1
-    states instead. The interval is split at every catalog pole of either
-    state; each pole-free segment is scanned on a log-spaced grid and sign
-    changes are bisected to a relative wavelength tolerance of 1e-12 (well
-    inside the documented 1e-9). An empty list means no crossing; identical
-    states are rejected.
+    ``m1``/``m2`` (with ``pol``) resolves those sublevels instead, for any J
+    (an m that is not a sublevel of its state is rejected). The interval is
+    split at every catalog pole of either state; each pole-free segment is
+    scanned on a log-spaced grid and sign changes are bisected to a relative
+    wavelength tolerance of REFINE_TOL (well inside the documented 1e-9). An
+    empty list means no crossing; identical states are rejected.
     """
     if state1 == state2:
         raise ValidationError("state1 = state2: difference is identically zero")
@@ -306,11 +268,20 @@ def find_magic(species: Species, state1: str, state2: str,
 
     terms1 = _StateTerms(species, state1)
     terms2 = _StateTerms(species, state2)
+    for terms, m in ((terms1, m1), (terms2, m2)):
+        if m is not None and (abs(m) > terms.J or not float(m - terms.J).is_integer()):
+            raise ValidationError(f"m = {m} is not a sublevel of J = {terms.J}")
+
+    def alpha(terms, omega, m):
+        a_s = _scalar_sum(terms, omega)
+        if m is None:
+            return a_s
+        return _alpha_m(terms.J, m, pol, a_s, _vector_sum(terms, omega),
+                        _tensor_sum(terms, omega))
 
     def delta(lams):
-        return _delta_alpha_grid(terms1, terms2,
-                                 np.atleast_1d(np.asarray(lams, dtype=float)),
-                                 jobs, pol, m1, m2)
+        omega = (SPEED_OF_LIGHT / np.atleast_1d(np.asarray(lams, dtype=float))) / HARTREE_HZ
+        return alpha(terms1, omega, m1) - alpha(terms2, omega, m2)
 
     # split at poles, shaving a guard margin so no sample sits on a resonance;
     # endpoints handed in on a pole are nudged inward the same way

@@ -292,14 +292,6 @@ class TestSpectrum:
         assert abs(lower - pair.delta_minus) <= step
         assert abs(upper - pair.delta_plus) <= step
 
-    def test_jobs_produce_identical_bytes(self):
-        sys_ = make_system()
-        grid = np.linspace(-G0, G0, 40)
-        one = vacuum_rabi_spectrum(sys_, 1e-3 * KAPPA, grid, jobs=1)
-        four = vacuum_rabi_spectrum(sys_, 1e-3 * KAPPA, grid, jobs=4)
-        assert one.transmission.tobytes() == four.transmission.tobytes()
-        assert one.mean_n.tobytes() == four.mean_n.tobytes()
-
 
 def reference_steady_state(sys_, eps, omega_p, z=0.0):
     """Per-point reference: the probe detunings sit inside H and the full
@@ -404,14 +396,6 @@ class TestGridSolver:
             assert_matches_points(result, sys_, eps)
         assert str(caught[0].message).startswith(f"top Fock level population {top:.2e} exceeds")
         assert str(caught[1].message).startswith(f"<n> = {result.mean_n.max():.3g} exceeds")
-
-    def test_jobs_identical_bytes_at_nmax_20(self):
-        sys_ = make_system(n_max=20, delta_e=0.1 * G0)
-        grid = np.linspace(-1.5 * G0, 1.5 * G0, 6)
-        one = vacuum_rabi_spectrum(sys_, 0.05 * KAPPA, grid, with_g2=True, jobs=1)
-        two = vacuum_rabi_spectrum(sys_, 0.05 * KAPPA, grid, with_g2=True, jobs=2)
-        for field in ("transmission", "mean_n", "g2"):
-            assert getattr(one, field).tobytes() == getattr(two, field).tobytes()
 
     def test_singular_solve_is_a_numerical_error(self, monkeypatch):
         def singular(*args, **kwargs):

@@ -120,9 +120,22 @@ class TestPerM:
         # sigma+ on m equals sigma- on -m
         assert plus.per_m_au[1] == pytest.approx(minus.per_m_au[-1], rel=1e-14)
 
-    def test_high_j_rejected(self, sr87):
-        with pytest.raises(ValidationError, match="J"):
-            alpha_m_resolved(sr87, "3P2", 915e-9, LinearPolarization())
+    def test_3p2_resolves_every_sublevel(self, sr87):
+        plus = alpha_m_resolved(sr87, "3P2", 915e-9, CircularPolarization(+1))
+        minus = alpha_m_resolved(sr87, "3P2", 915e-9, CircularPolarization(-1))
+        assert list(plus.per_m_au) == [-2, -1, 0, 1, 2]
+        assert all(type(m) is int for m in plus.per_m_au)
+        for m in (1, 2):
+            assert plus.per_m_au[m] != pytest.approx(plus.per_m_au[-m], rel=1e-9)
+        # sigma+ on m equals sigma- on -m
+        for m in range(-2, 3):
+            assert plus.per_m_au[m] == pytest.approx(minus.per_m_au[-m], rel=1e-14)
+
+    def test_cs_ground_state_has_half_integer_sublevels(self, cs133):
+        res = alpha_m_resolved(cs133, "6S1/2", 1064e-9, LinearPolarization())
+        assert sorted(res.per_m_au) == [-0.5, 0.5]
+        assert res.alpha_tensor_au == 0.0
+        assert res.per_m_au[0.5] == res.per_m_au[-0.5]
 
 
 class TestStark:
@@ -219,11 +232,6 @@ class TestFindMagic:
         for a, b in zip(coarse, fine):
             assert abs(a.wavelength_m - b.wavelength_m) <= 1e-9 * b.wavelength_m
 
-    def test_jobs_do_not_change_results(self, sr87):
-        one = find_magic(sr87, "1S0", "3P0", (700e-9, 900e-9), jobs=1)
-        four = find_magic(sr87, "1S0", "3P0", (700e-9, 900e-9), jobs=4)
-        assert [p.wavelength_m for p in one] == [p.wavelength_m for p in four]
-
     def test_sublevel_search_computes_6j_weights_once(self, sr87, monkeypatch):
         import magictrap.polarizability as pz
         calls = []
@@ -249,6 +257,11 @@ class TestFindMagic:
     def test_bad_interval_rejected(self, sr87):
         with pytest.raises(ValidationError):
             find_magic(sr87, "1S0", "3P0", (900e-9, 700e-9))
+
+    @pytest.mark.parametrize("state,m", [("1S0", 1), ("3P1", 2), ("3P1", 0.5)])
+    def test_m_that_is_not_a_sublevel_rejected(self, sr87, state, m):
+        with pytest.raises(ValidationError, match="not a sublevel"):
+            find_magic(sr87, state, "3P0", (700e-9, 900e-9), m1=m)
 
 
 def test_scan_delta_alpha(sr87):

@@ -53,7 +53,7 @@ def alpha_oracle(J, Jk, d_au, w_ki, w, eps):
     d_co = eps[0] * dx + eps[1] * dy + eps[2] * dz
     d_ct = np.conj(eps[0]) * dx + np.conj(eps[1]) * dy + np.conj(eps[2]) * dz
     out = {}
-    for j, m in enumerate(range(-round(J), round(J) + 1)):
+    for j, m in enumerate(m - J for m in range(round(2 * J) + 1)):
         co = np.sum(np.abs(d_co[:, j]) ** 2) / (w_ki - w)
         ct = np.sum(np.abs(d_ct[:, j]) ** 2) / (w_ki + w)
         out[m] = float(co + ct)
@@ -74,17 +74,28 @@ POLARIZATIONS = [
 ]
 
 
-@pytest.mark.parametrize("j_partner", [0, 1, 2])
+def frac(j):
+    return f"{j:g}" if float(j).is_integer() else f"{round(2 * j)}/2"
+
+
+# every dipole-allowed partner J - 1, J, J + 1 of J = 1/2, 1, 3/2 and 2; the
+# J = 1 cases are named by the partner alone, the others as "J-partner"
+J_PAIRS = [pytest.param(J, J + dj, id=frac(J + dj) if J == 1 else f"{frac(J)}-{frac(J + dj)}")
+           for J in (0.5, 1, 1.5, 2) for dj in (-1, 0, 1) if J + dj >= 0]
+
+
+@pytest.mark.parametrize("J,j_partner", J_PAIRS)
 @pytest.mark.parametrize("name,pol,eps", POLARIZATIONS)
-def test_per_m_matches_cg_construction(j_partner, name, pol, eps):
+def test_per_m_matches_cg_construction(J, j_partner, name, pol, eps):
     d_au, nu0, lam = 2.3, 5.0e14, 8.5e-7
-    species = synth_species([("g", 0.0, 1), ("e", nu0, j_partner)],
+    species = synth_species([("g", 0.0, J), ("e", nu0, j_partner)],
                             [("g", "e", d_au)])
     got = alpha_m_resolved(species, "g", lam, pol).per_m_au
     w = (2.99792458e8 / lam) / HARTREE_HZ
-    want = alpha_oracle(1, j_partner, d_au, nu0 / HARTREE_HZ, w, eps)
+    want = alpha_oracle(J, j_partner, d_au, nu0 / HARTREE_HZ, w, eps)
+    assert sorted(got) == sorted(want)
     scale = max(abs(v) for v in want.values())
-    for m in (-1, 0, 1):
+    for m in want:
         assert got[m] == pytest.approx(want[m], rel=1e-12, abs=1e-12 * scale)
 
 

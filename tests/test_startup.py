@@ -1,4 +1,5 @@
-"""Start-up cost: only the subcommands that solve with scipy may import it.
+"""Start-up cost: only the subcommands that solve with scipy may import it,
+and no command loads a worker pool (``concurrent.*``).
 
 Each check runs in a fresh interpreter, so modules imported by other tests
 do not hide an eager import.
@@ -44,7 +45,8 @@ codes = []
 for argv in COMMANDS:
     codes.append(magictrap.cli.run(argv))
 print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "concurrent": sorted(m for m in sys.modules if m.startswith("concurrent"))}))
 """
 
 
@@ -55,6 +57,7 @@ def test_commands_without_a_solver_never_import_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * 10
     assert result["scipy"] == []
+    assert result["concurrent"] == []
 
 
 # cavity-spectrum and blockade no longer load scipy (they are also in the

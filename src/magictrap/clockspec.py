@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 # Reporting offset for absolute clock-frequency ledgers (Hz).
 NU0_OFFSET_HZ = 429_228_004_229_800
@@ -95,10 +95,15 @@ def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
     P(delta) = Omega^2/(Omega^2 + w^2) sin^2(sqrt(Omega^2 + w^2) T / 2)
     with w = 2 pi delta. ``saturation`` scales P with a clamp at 1 (the
     illustrative saturated-line model). The FWHM of the central feature is
-    located numerically and stored on the returned trace.
+    located numerically and stored on the returned trace: a walk in steps
+    of 1/(4T) brackets the first half-maximum crossing right of the
+    carrier, and Brent's method (``_brent``) refines it.
     """
     if omega_rabi <= 0 or duration_s <= 0:
         raise ValidationError("rabi_lineshape: Omega and T must be > 0")
+    if not 0.0 < omega_rabi * omega_rabi < math.inf:
+        raise ValidationError(f"rabi_lineshape: Omega = {omega_rabi:g} rad/s has no "
+                              "finite nonzero square")
     grid = np.asarray(detuning_hz, dtype=float)
     if grid.size == 0:
         raise ValidationError("rabi_lineshape: empty detuning grid")
@@ -131,13 +136,66 @@ def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
                 break
             start = his[-1] + step
         if float(prob(hi)) <= half:
-            from scipy.optimize import brentq
-            root = brentq(lambda d: float(prob(d)) - half, hi - step, hi,
+            root = _brent(lambda d: float(prob(d)) - half, hi - step, hi,
                           xtol=1e-12, rtol=1e-14)
             fwhm = 2.0 * root
 
     labels = (SpectralFeature("carrier", 0.0, peak),)
     return SpectrumTrace(grid, response, labels, fwhm)
+
+
+def _brent(f, a, b, xtol, rtol):
+    """Root of f on [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method with the branches and order of operations of the
+    common C ``brentq`` routine (interpolate or extrapolate, else bisect;
+    tolerance 2 delta with delta = (xtol + rtol |x|)/2; 100 iterations),
+    so its roots are bit-identical to that routine's.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NumericalError(f"root refinement: f({a!r}) and f({b!r}) have the same sign")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # an underflowed denominator gives an infinite step in C,
+                # which fails the test below and bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NumericalError(f"root refinement on [{a!r}, {b!r}] did not converge "
+                         "in 100 iterations")
 
 
 def quality_factor(frequency_hz: float, fwhm_hz: float) -> float:

@@ -52,6 +52,9 @@ class PolarizabilityResult:
     per_m_au: dict                    # m -> alpha_m (a.u.) for the requested polarization
 
     def per_m_si(self, m: float) -> float:
+        if m not in self.per_m_au:
+            raise ValidationError(f"{self.state}: no per-m polarizability for m = {m}; "
+                                  f"available m: {sorted(self.per_m_au) or 'none'}")
         return self.per_m_au[m] * POLARIZABILITY_AU
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -413,6 +414,21 @@ def test_clock_line_carrier_node_reports_undefined_fwhm(tmp_path, monkeypatch, c
     body = (tmp_path / "clock_line.csv").read_text().splitlines()[2:]
     assert [[float(c) for c in line.split(",")] for line in body] == \
         np.column_stack((trace.detuning_hz, trace.response)).tolist()
+
+
+@pytest.mark.parametrize("argv", [
+    ["clock-line", "--duration", "0.5s", "--rabi", "1e-300hz"],  # Omega^2 underflows to 0
+    ["clock-line", "--duration", "1e-300s", "--pi"],  # Omega^2 overflows
+], ids=["omega-squared-underflows", "omega-squared-overflows"])
+def test_rabi_without_a_finite_square_exits_1_quietly(argv, tmp_path):
+    # a fresh process, so numpy's RuntimeWarnings would reach stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "magictrap", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("fmt, table", [("csv", list), ("json", list), ("csv", np.array),

@@ -9,7 +9,8 @@ from magictrap.clockspec import (AggregateResult, ClockTransition, Measurement,
                                  quality_factor, rabi_lineshape,
                                  read_measurement_ledger, sideband_spectrum,
                                  zeeman_multiplet)
-from magictrap.errors import ValidationError
+from magictrap.clockspec import _brent
+from magictrap.errors import NumericalError, ValidationError
 
 
 def pi_pulse(duration):
@@ -72,6 +73,10 @@ class TestRabi:
             rabi_lineshape(0.0, 1.0, np.array([0.0]))
         with pytest.raises(ValidationError):
             rabi_lineshape(1.0, -1.0, np.array([0.0]))
+        # Omega^2 underflows to 0, overflows, or is NaN
+        for omega in (2 * math.pi * 1e-300, math.pi / 1e-300, math.nan):
+            with pytest.raises(ValidationError, match="finite nonzero square"):
+                rabi_lineshape(omega, 0.5, np.array([0.0]))
 
 
 SR_CLOCK = ClockTransition(nuclear_spin=4.5, linewidth_hz=1e-3,
@@ -314,6 +319,70 @@ def stepwise_fwhm(omega, duration, saturation=1.0):
 def test_fwhm_search_matches_stepwise_walk(omega_t, duration, saturation):
     trace = rabi_lineshape(omega_t / duration, duration, np.array([0.0]), saturation)
     assert trace.fwhm_hz == stepwise_fwhm(omega_t / duration, duration, saturation)
+
+
+def test_brent_matches_brentq_bit_for_bit():
+    """The in-package refiner against scipy's brentq (the oracle) on seeded
+    Rabi half-crossing brackets and on generic smooth functions."""
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(20081)
+    compared = 0
+    while compared < 400:
+        duration = 10 ** rng.uniform(-3, 1)
+        # one bracket in four with Omega T so small that P and the Brent
+        # differences are subnormal, where a denominator underflows to 0
+        if compared % 4 == 3:
+            omega = 10 ** rng.uniform(-160, -150) / duration
+        else:
+            omega = rng.uniform(0.1, 6.5) * math.pi / duration
+        saturation = 10 ** rng.uniform(0, 1.2)
+
+        def prob(delta_hz):
+            w = 2.0 * math.pi * np.asarray(delta_hz)
+            p = omega**2 / (omega**2 + w**2) * np.sin(np.sqrt(omega**2 + w**2) * duration / 2.0) ** 2
+            return np.minimum(saturation * p, 1.0)
+
+        half = float(prob(0.0)) / 2.0
+        step = 1.0 / (4.0 * duration)
+        hi = step
+        while float(prob(hi)) > half and hi < 1e6 / duration:
+            hi += step
+        if float(prob(hi)) > half:
+            continue
+
+        def g(d):
+            return float(prob(d)) - half
+
+        assert _brent(g, hi - step, hi, 1e-12, 1e-14) == \
+            brentq(g, hi - step, hi, xtol=1e-12, rtol=1e-14)
+        compared += 1
+    for _ in range(300):
+        c = rng.normal(size=4)
+        r = rng.uniform(-1.0, 1.0)
+
+        def f(x):
+            return (x - r) * (c[0] + c[1] * x * x + c[2] * math.sin(3 * x)) + c[3] * (x - r) ** 3
+
+        a, b = r - rng.uniform(0.01, 3.0), r + rng.uniform(0.01, 3.0)
+        if f(a) * f(b) >= 0:
+            continue
+        xtol, rtol = 10 ** rng.uniform(-15, -3), 10 ** rng.uniform(-15, -8)
+        assert _brent(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+
+def test_brent_endpoint_roots_and_failures():
+    # a root on an endpoint is returned as given, before any step
+    assert _brent(lambda x: x - 1.0, 1.0, 3.0, 1e-12, 1e-14) == 1.0
+    assert _brent(lambda x: x - 3.0, 1.0, 3.0, 1e-12, 1e-14) == 3.0
+    assert _brent(lambda x: 0.0, 1.0, 3.0, 1e-12, 1e-14) == 1.0
+    assert _brent(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12, 1e-14) == \
+        pytest.approx(math.sqrt(2.0), abs=1e-12)
+    with pytest.raises(NumericalError, match="same sign"):
+        _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-14)
+    # a step at 0.3 bracketed by [-1, 1e300] needs ~1000 halvings, not 100
+    with pytest.raises(NumericalError, match="100 iterations"):
+        _brent(lambda x: -1.0 if x < 0.3 else 1.0, -1.0, 1e300, 1e-12, 1e-14)
 
 
 def test_carrier_node_has_no_fwhm_and_returns_quickly():

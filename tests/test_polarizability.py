@@ -158,6 +158,17 @@ class TestStark:
         # a ~10 kW/cm^2 magic-wavelength lattice is a ~130 kHz deep trap
         assert shift.shift_hz == pytest.approx(-1.3e5, rel=0.1)
 
+    def test_m_without_an_entry_is_a_validation_error(self, sr87):
+        # alpha_scalar holds no per-m entries for J > 0; a resolved 3P1
+        # result holds m = -1, 0, 1 only
+        with pytest.raises(ValidationError, match=r"3P1: .*m = 0; available m: none"):
+            stark_shift(alpha_scalar(sr87, "3P1", 915e-9), 1e7, m=0)
+        resolved = alpha_m_resolved(sr87, "3P1", 915e-9, LinearPolarization())
+        with pytest.raises(ValidationError, match=r"3P1: .*m = 5; available m: \[-1, 0, 1\]"):
+            stark_shift(resolved, 1e7, m=5)
+        assert stark_shift(resolved, 1e7, m=1).potential_j == pytest.approx(
+            -resolved.per_m_au[1] * AU_POL * 1e7 / (2 * EPS0 * C), rel=1e-12)
+
 
 class TestDifferentialShift:
     def test_zero_at_magic_point(self, sr87_cal):

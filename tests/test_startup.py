@@ -1,5 +1,5 @@
-"""Start-up cost: only the subcommands that solve with scipy may import it,
-and no command loads a worker pool (``concurrent.*``).
+"""Start-up cost: no subcommand imports scipy, which only the tests use as
+an oracle, and no command loads a worker pool (``concurrent.*``).
 
 Each check runs in a fresh interpreter, so modules imported by other tests
 do not hide an eager import.
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-import magictrap
+import magictrap.cli
 
 # the package under test, found the same way from any working directory
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -32,6 +32,7 @@ COMMANDS = [
     ["magic", *SCAN],
     ["trap", "--species", "sr87", "--state", "1S0", "--lattice-lambda", "813.428nm",
      "--waist", "30um", "--depth-erec", "50"],
+    ["clock-line", "--duration", "0.5s", "--pi"],
     ["zeeman", "--spin", "9/2", "--dg", "108.4hz", "--field", "1e-4t"],
     ["sidebands", "--eta", "0.31", "--nu-z", "49khz", "--nbar", "1",
      "--width", "3khz", "--points", "11"],
@@ -45,23 +46,37 @@ codes = []
 for argv in COMMANDS:
     codes.append(magictrap.cli.run(argv))
 print(json.dumps({"codes": codes,
+                  "commands": sorted({argv[0] for argv in COMMANDS} - {"--version"}),
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   "concurrent": sorted(m for m in sys.modules if m.startswith("concurrent"))}))
 """
 
+# the same commands with scipy unimportable: the runtime needs numpy alone
+WITHOUT_SCIPY_SCRIPT = 'import sys\nsys.modules["scipy"] = None\n' + NO_SCIPY_SCRIPT
 
-def test_commands_without_a_solver_never_import_scipy(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], cwd=tmp_path,
+
+def run_script(script, cwd):
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd,
                           env=ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0] * 10
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_without_a_solver_never_import_scipy(tmp_path):
+    result = run_script(NO_SCIPY_SCRIPT, tmp_path)
+    assert result["codes"] == [0] * 11
     assert result["scipy"] == []
     assert result["concurrent"] == []
 
 
-# cavity-spectrum and blockade no longer load scipy (they are also in the
-# script above); they stay here to check the ``python -m magictrap`` entry point
+def test_every_command_runs_without_scipy_installed(tmp_path):
+    result = run_script(WITHOUT_SCIPY_SCRIPT, tmp_path)
+    assert result["commands"] == sorted(magictrap.cli.COMMANDS)
+    assert result["codes"] == [0] * 11
+
+
+# no command loads scipy any more (all are in the scripts above); these stay
+# here to check the ``python -m magictrap`` entry point
 @pytest.mark.parametrize("argv", [
     ["clock-line", "--duration", "0.5s", "--pi"],
     ["cavity-spectrum", "--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz",

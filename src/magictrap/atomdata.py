@@ -51,7 +51,6 @@ class TransitionLine:
     gamma_s: float         # partial decay rate upper -> lower
     d_au: float            # reduced dipole matrix element, |<i||d||k>|, a.u.
     cal: float = 1.0       # optional strength calibration multiplier
-    source: str = ""       # literature citation from the record's comment
 
     def __post_init__(self):
         if self.frequency_hz <= 0:
@@ -174,11 +173,10 @@ def load_species(path: str | Path, use_calibration: bool = False) -> Species:
 
     header = None
     levels: list[Level] = []
-    raw_lines: list[tuple[int, list[str], str]] = []
+    raw_lines: list[tuple[int, list[str]]] = []
 
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        text, _, comment = raw.partition("#")
-        tokens = text.split()
+        tokens = raw.partition("#")[0].split()
         if not tokens:
             continue
         where = f"{path.name}:{lineno}"
@@ -206,7 +204,7 @@ def load_species(path: str | Path, use_calibration: bool = False) -> Species:
             except ValidationError as exc:
                 raise CatalogError(f"{where}: {exc}") from None
         elif kind == "line":
-            raw_lines.append((lineno, tokens, comment.strip()))
+            raw_lines.append((lineno, tokens))
         else:
             raise CatalogError(f"{where}: unknown record kind '{kind}'")
 
@@ -227,7 +225,7 @@ def load_species(path: str | Path, use_calibration: bool = False) -> Species:
     by_label = {lv.label: lv for lv in levels}
 
     lines: list[TransitionLine] = []
-    for lineno, tokens, comment in raw_lines:
+    for lineno, tokens in raw_lines:
         where = f"{path.name}:{lineno}"
         if len(tokens) not in (7, 9):
             raise CatalogError(f"{where}: malformed line record")
@@ -277,6 +275,6 @@ def load_species(path: str | Path, use_calibration: bool = False) -> Species:
             d_au = strength * math.sqrt(mult)
             gamma_s = gamma_from_dipole(d_au, frequency_hz, degeneracy)
         lines.append(TransitionLine(lower_label, upper_label, frequency_hz,
-                                    gamma_s, d_au, cal, comment))
+                                    gamma_s, d_au, cal))
 
     return Species(name, mass_kg, nuclear_spin, tuple(levels), tuple(lines))

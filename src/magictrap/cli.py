@@ -63,10 +63,6 @@ MAX_SPIN = 10
 MAX_JOBS = 64
 
 
-class UsageError(ValidationError):
-    pass
-
-
 def parse_quantity(text: str, dimension: str) -> float:
     """'813.428nm' -> 8.13428e-07. The unit suffix is mandatory."""
     table = UNITS[dimension]
@@ -233,8 +229,7 @@ COMMANDS = {
              strict=False, cap=MAX_SPIN),
         Flag("--dg", "frequency", "differential g splitting per field per m_F "
              "(frequency per tesla, e.g. 108.4hz)", required=True, low=None),
-        Flag("--field", "bfield", "bias field (bfield, e.g. 0.3mt)", required=True, low=None),
-        Flag("--linewidth", "frequency", "natural linewidth (frequency, default 0.001hz)", 1e-3))),
+        Flag("--field", "bfield", "bias field (bfield, e.g. 0.3mt)", required=True, low=None))),
     "sidebands": Command("carrier and motional sidebands", "clock", (
         Flag("--eta", "float", "Lamb-Dicke parameter (dimensionless)", required=True, strict=False),
         Flag("--nu-z", "frequency", "axial trap frequency (frequency, e.g. 49khz)",
@@ -415,7 +410,7 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(f"{message}\n{self.format_usage()}")
+        raise ValidationError(f"{message}\n{self.format_usage()}")
 
 
 def build_parser() -> _Parser:
@@ -559,7 +554,7 @@ def _run_clock_line(args, argv):
         summary = [f"Rabi line, T = {duration:g} s: FWHM undefined "
                    "(no half-maximum crossing next to the carrier)"]
     else:
-        summary = [f"Rabi line, T = {duration:g} s: numeric FWHM = {trace.fwhm_hz:.4f} Hz",
+        summary = [f"Rabi line, T = {duration:g} s: numeric FWHM = {trace.fwhm_hz:.6g} Hz",
                    f"Q at Fourier width: {quality_factor(nu_clock, trace.fwhm_hz):.3e}"]
     if args.observed_width is not None:
         summary.append(f"Q at observed width {args.observed_width:g} Hz: "
@@ -570,8 +565,7 @@ def _run_clock_line(args, argv):
 
 
 def _run_zeeman(args, argv):
-    transition = ClockTransition(nuclear_spin=args.spin, linewidth_hz=args.linewidth,
-                                 dg_hz_per_t=args.dg)
+    transition = ClockTransition(nuclear_spin=args.spin, dg_hz_per_t=args.dg)
     multiplet = zeeman_multiplet(transition, args.field, "pi")
     return _finish(args, argv, ["m_f", "offset_hz"], multiplet,
                    {"field_t": args.field, "dg_hz_per_t": args.dg},
@@ -687,9 +681,6 @@ def run(argv: list[str]) -> int:
         return _RUNNERS[args.command](args, argv)
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"magictrap: {exc}", file=sys.stderr)
-        return 1
     except (NumericalError, ArithmeticError) as exc:
         print(f"magictrap: numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -29,12 +29,9 @@ class ClockTransition:
     """
 
     nuclear_spin: float
-    linewidth_hz: float
     dg_hz_per_t: float
 
     def __post_init__(self):
-        if self.linewidth_hz <= 0:
-            raise ValidationError("linewidth must be > 0")
         if self.nuclear_spin < 0 or abs(2 * self.nuclear_spin - round(2 * self.nuclear_spin)) > 1e-9:
             raise ValidationError("nuclear spin must be a non-negative half-integer")
 
@@ -88,6 +85,7 @@ class AggregateResult:
     n: int
 
 
+@np.errstate(over="raise", invalid="raise")
 def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
                    saturation: float = 1.0) -> SpectrumTrace:
     """Excitation probability of a Rabi pulse over a detuning grid.
@@ -97,7 +95,8 @@ def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
     illustrative saturated-line model). The FWHM of the central feature is
     located numerically and stored on the returned trace: a walk in steps
     of 1/(4T) brackets the first half-maximum crossing right of the
-    carrier, and Brent's method (``_brent``) refines it.
+    carrier, and Brent's method (``_brent``) refines it. A numpy overflow
+    or invalid value anywhere on the way raises ``FloatingPointError``.
     """
     if omega_rabi <= 0 or duration_s <= 0:
         raise ValidationError("rabi_lineshape: Omega and T must be > 0")

@@ -58,11 +58,10 @@ Polarization = LinearPolarization | CircularPolarization
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Trap light: wavelength, polarization, and either total power of one
-    beam or its peak intensity (exactly one of the two)."""
+    """Trap light: wavelength and either total power of one beam or its
+    peak intensity (exactly one of the two)."""
 
     wavelength_m: float
-    polarization: Polarization = LinearPolarization()
     power_w: float | None = None
     intensity_w_m2: float | None = None
 
@@ -128,9 +127,7 @@ class TrapParameters:
     depth_hz: float
     nu_axial_hz: float
     nu_radial_hz: float
-    eta: float              # Lamb-Dicke parameter for probe_wavelength_m
-    probe_wavelength_m: float
-    recoil_j: float
+    eta: float              # Lamb-Dicke parameter at the probe wavelength
     recoil_hz: float
     site_offset_hz: float = 0.0
 
@@ -226,8 +223,6 @@ def trap_parameters(depth_j: float, geom: TrapGeometry, trap_wavelength_m: float
         nu_axial_hz=nu_ax,
         nu_radial_hz=nu_rad,
         eta=eta,
-        probe_wavelength_m=probe_wavelength_m,
-        recoil_j=e_rec,
         recoil_hz=nu_rec,
         site_offset_hz=offset,
     )

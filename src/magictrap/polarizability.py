@@ -10,6 +10,12 @@ Vector (J > 0) and tensor (J >= 1) parts carry the standard angular-momentum
 weights (6-j symbols over the partner J) and resolve the sublevels of any J.
 Everything internal is in atomic units.
 
+``_StateTerms``, built once per state, holds all three line sums and the
+state's pole table ``poles_au`` (|w_ki|): ``_StateTerms.sums`` forms the
+denominator w_ki^2 - w^2 once per call, and the pole guard check, the
+scan's guard mask and the magic search's segment edges all read
+``poles_au``.
+
 Field convention: U = -alpha * I / (2 eps0 c) with I the local
 time-averaged intensity. Hyperpolarizability O(E^4) is omitted throughout.
 """
@@ -74,82 +80,75 @@ class MagicPoint:
 
 
 class _StateTerms:
-    """Per-line arrays for one state: signed w_ki (a.u.), d^2 (a.u.), J_k."""
+    """One state's line sums, built once per state: the pole table
+    ``poles_au`` (|w_ki|, a.u.) and the per-line numerators over
+    w_ki^2 - w^2 of the scalar, vector (J > 0) and tensor (J >= 1) sums."""
 
     def __init__(self, species: Species, state: str):
-        level = species.level(state)
-        lines = species.lines_touching(state)
-        self.state = state
-        self.J = level.J
-        self.lines: list[TransitionLine] = list(lines)
+        self.J = J = species.level(state).J
+        self.lines: list[TransitionLine] = list(species.lines_touching(state))
         omega, d2, j_partner = [], [], []
-        for ln in lines:
+        for ln in self.lines:
             sign = 1.0 if ln.lower == state else -1.0
             omega.append(sign * ln.frequency_hz / HARTREE_HZ)
             d2.append(ln.d_au**2)
             partner = ln.upper if ln.lower == state else ln.lower
             j_partner.append(species.level(partner).J)
-        self.omega_au = np.asarray(omega)
-        self.d2_au = np.asarray(d2)
-        self.j_partner = np.asarray(j_partner)
+        omega, d2 = np.asarray(omega), np.asarray(d2)
+        self.poles_au = np.abs(omega)
+        self.omega2_au = omega**2
+        self.scalar_num = 2.0 * omega * d2
         # 6-j weights of the vector (J > 0) and tensor (J >= 1) line sums
-        J = self.J
-        self.vector_w = self.tensor_w = None
+        self.vector_num = self.tensor_num = None
         if J > 0:
-            self.vector_w = np.array([(-1.0) ** round(J + jk + 1) * wigner_6j(1, 1, 1, J, jk, J)
-                                      for jk in self.j_partner])
+            self.vector_num = np.array([(-1.0) ** round(J + jk + 1) * wigner_6j(1, 1, 1, J, jk, J)
+                                        for jk in j_partner]) * d2 * 2.0
         if J >= 1:
-            self.tensor_w = np.array([(-1.0) ** round(J + jk) * wigner_6j(1, 2, 1, J, jk, J)
-                                      for jk in self.j_partner])
+            self.tensor_num = np.array([(-1.0) ** round(J + jk) * wigner_6j(1, 2, 1, J, jk, J)
+                                        for jk in j_partner]) * d2 * 2.0 * omega
 
-    def guard_check(self, omega_au: float) -> None:
-        if self.omega_au.size == 0:
-            return
-        rel = np.abs(omega_au - np.abs(self.omega_au)) / np.abs(self.omega_au)
-        hit = np.argmin(rel)
+    def sums(self, omega, sublevel: bool = False):
+        """Scalar line sum at omega (a.u., scalar or array); with ``sublevel``
+        the (scalar, vector, tensor) sums, a part the state lacks being 0."""
+        w = np.asarray(omega)[..., None]
+        denom = self.omega2_au - w**2
+        a_s = (self.scalar_num / denom).sum(axis=-1) / (3.0 * (2.0 * self.J + 1.0))
+        if not sublevel:
+            return a_s
+        J, a_v, a_t = self.J, 0.0, 0.0
+        if self.vector_num is not None:
+            a_v = math.sqrt(6.0 * J / ((J + 1.0) * (2.0 * J + 1.0))) * (
+                self.vector_num * w / denom).sum(axis=-1)
+        if self.tensor_num is not None:
+            a_t = math.sqrt(10.0 * J * (2.0 * J - 1.0)
+                            / (3.0 * (J + 1.0) * (2.0 * J + 1.0) * (2.0 * J + 3.0))) * (
+                self.tensor_num / denom).sum(axis=-1)
+        return a_s, a_v, a_t
+
+    def alpha(self, omega, m: float | None = None, pol: Polarization | None = None):
+        """The scalar sum at omega, or with ``m`` sublevel m under ``pol``."""
+        if m is None:
+            return self.sums(omega)
+        return _alpha_m(self.J, m, pol, *self.sums(omega, sublevel=True))
+
+
+def _terms_at(species: Species, state: str, wavelength_m: float):
+    """The state's terms and omega (a.u.) at a wavelength outside every
+    pole guard band of the state."""
+    terms = _StateTerms(species, state)
+    if wavelength_m <= 0:
+        raise ValidationError("wavelength must be > 0")
+    omega = (SPEED_OF_LIGHT / wavelength_m) / HARTREE_HZ
+    if terms.lines:
+        rel = np.abs(omega - terms.poles_au) / terms.poles_au
+        hit = int(np.argmin(rel))
         if rel[hit] < POLE_GUARD:
-            ln = self.lines[int(hit)]
+            ln = terms.lines[hit]
             raise PoleError(
                 f"wavelength within pole guard band of line "
                 f"{ln.lower}-{ln.upper} ({1e9 * SPEED_OF_LIGHT / ln.frequency_hz:.4f} nm)",
                 line=ln)
-
-
-def _omega_au(wavelength_m: float) -> float:
-    if wavelength_m <= 0:
-        raise ValidationError("wavelength must be > 0")
-    return (SPEED_OF_LIGHT / wavelength_m) / HARTREE_HZ
-
-
-def _scalar_sum(terms: _StateTerms, omega):
-    """Scalar line sum on a scalar or array omega (a.u.)."""
-    w = np.asarray(omega)[..., None]
-    num = 2.0 * terms.omega_au * terms.d2_au
-    res = (num / (terms.omega_au**2 - w**2)).sum(axis=-1)
-    return res / (3.0 * (2.0 * terms.J + 1.0))
-
-
-def _vector_sum(terms: _StateTerms, omega):
-    if terms.vector_w is None:
-        return np.zeros(np.shape(omega))
-    J = terms.J
-    pref = math.sqrt(6.0 * J / ((J + 1.0) * (2.0 * J + 1.0)))
-    w = np.asarray(omega)[..., None]
-    res = (terms.vector_w * terms.d2_au * 2.0 * w
-           / (terms.omega_au**2 - w**2)).sum(axis=-1)
-    return pref * res
-
-
-def _tensor_sum(terms: _StateTerms, omega):
-    if terms.tensor_w is None:
-        return np.zeros(np.shape(omega))
-    J = terms.J
-    pref = math.sqrt(10.0 * J * (2.0 * J - 1.0)
-                     / (3.0 * (J + 1.0) * (2.0 * J + 1.0) * (2.0 * J + 3.0)))
-    w = np.asarray(omega)[..., None]
-    res = (terms.tensor_w * terms.d2_au * 2.0 * terms.omega_au
-           / (terms.omega_au**2 - w**2)).sum(axis=-1)
-    return pref * res
+    return terms, omega
 
 
 def alpha_scalar(species: Species, state: str, wavelength_m: float) -> PolarizabilityResult:
@@ -158,15 +157,13 @@ def alpha_scalar(species: Species, state: str, wavelength_m: float) -> Polarizab
     Raises PoleError when the wavelength falls inside the guard band of a
     catalog line of the state.
     """
-    terms = _StateTerms(species, state)
-    w = _omega_au(wavelength_m)
-    terms.guard_check(w)
-    a_s = float(_scalar_sum(terms, w))
+    terms, w = _terms_at(species, state, wavelength_m)
+    a_s = float(terms.alpha(w))
     return PolarizabilityResult(
         state=state, wavelength_m=wavelength_m,
         alpha_scalar_au=a_s, alpha_scalar_si=a_s * POLARIZABILITY_AU,
         alpha_vector_au=0.0, alpha_tensor_au=0.0,
-        per_m_au={0: a_s} if species.level(state).J == 0 else {})
+        per_m_au={0: a_s} if terms.J == 0 else {})
 
 
 def _alpha_m(J: float, m: float, pol: Polarization, a_s, a_v, a_t):
@@ -194,12 +191,8 @@ def alpha_m_resolved(species: Species, state: str, wavelength_m: float,
     are ints for integer J and halves for half-integer J; for J = 0 the
     result is the scalar value with a single m = 0 entry.
     """
-    terms = _StateTerms(species, state)
-    w = _omega_au(wavelength_m)
-    terms.guard_check(w)
-    a_s = float(_scalar_sum(terms, w))
-    a_v = float(_vector_sum(terms, w))
-    a_t = float(_tensor_sum(terms, w))
+    terms, w = _terms_at(species, state, wavelength_m)
+    a_s, a_v, a_t = map(float, terms.sums(w, sublevel=True))
     two_j = round(2 * terms.J)
     ms = [k / 2 if two_j % 2 else k // 2 for k in range(-two_j, two_j + 1, 2)]
     per_m = {m: _alpha_m(terms.J, m, pol, a_s, a_v, a_t) for m in ms}
@@ -235,16 +228,6 @@ def differential_clock_shift(species: Species, state1: str, state2: str,
     return -diff_si * intensity_w_m2 / (2.0 * VACUUM_PERMITTIVITY * SPEED_OF_LIGHT * PLANCK)
 
 
-def _poles_in(terms: _StateTerms, lo_m: float, hi_m: float) -> list[float]:
-    """Wavelengths (m) of catalog resonances of the state inside (lo, hi)."""
-    poles = []
-    for w in np.abs(terms.omega_au):
-        lam = SPEED_OF_LIGHT / (w * HARTREE_HZ)
-        if lo_m < lam < hi_m:
-            poles.append(lam)
-    return poles
-
-
 def find_magic(species: Species, state1: str, state2: str,
                search: tuple[float, float],
                pol: Polarization | None = None,
@@ -269,27 +252,19 @@ def find_magic(species: Species, state1: str, state2: str,
     if pol is None:
         pol = LinearPolarization()
 
-    terms1 = _StateTerms(species, state1)
-    terms2 = _StateTerms(species, state2)
+    terms1, terms2 = _StateTerms(species, state1), _StateTerms(species, state2)
     for terms, m in ((terms1, m1), (terms2, m2)):
         if m is not None and (abs(m) > terms.J or not float(m - terms.J).is_integer()):
             raise ValidationError(f"m = {m} is not a sublevel of J = {terms.J}")
 
-    def alpha(terms, omega, m):
-        a_s = _scalar_sum(terms, omega)
-        if m is None:
-            return a_s
-        return _alpha_m(terms.J, m, pol, a_s, _vector_sum(terms, omega),
-                        _tensor_sum(terms, omega))
-
     def delta(lams):
         omega = (SPEED_OF_LIGHT / np.atleast_1d(np.asarray(lams, dtype=float))) / HARTREE_HZ
-        return alpha(terms1, omega, m1) - alpha(terms2, omega, m2)
+        return terms1.alpha(omega, m1, pol) - terms2.alpha(omega, m2, pol)
 
     # split at poles, shaving a guard margin so no sample sits on a resonance;
     # endpoints handed in on a pole are nudged inward the same way
-    all_poles = sorted(set(_poles_in(terms1, 0.0, math.inf)
-                           + _poles_in(terms2, 0.0, math.inf)))
+    all_poles = sorted({SPEED_OF_LIGHT / (w * HARTREE_HZ)
+                        for terms in (terms1, terms2) for w in terms.poles_au})
     for p in all_poles:
         if abs(lo - p) < 2.0 * POLE_GUARD * p:
             lo = p * (1.0 + 2.0 * POLE_GUARD)
@@ -346,16 +321,13 @@ def scan_delta_alpha(species: Species, state1: str, state2: str,
         raise ValidationError("state1 = state2: difference is identically zero")
     if not (0 < lo_m < hi_m):
         raise ValidationError(f"bad scan interval ({lo_m}, {hi_m})")
-    terms1 = _StateTerms(species, state1)
-    terms2 = _StateTerms(species, state2)
+    terms1, terms2 = _StateTerms(species, state1), _StateTerms(species, state2)
     lams = np.geomspace(lo_m, hi_m, points)
     omega = (SPEED_OF_LIGHT / lams) / HARTREE_HZ
     keep = np.ones(lams.shape, dtype=bool)
     for terms in (terms1, terms2):
-        for w in np.abs(terms.omega_au):
+        for w in terms.poles_au:
             keep &= np.abs(omega - w) / w >= POLE_GUARD
-    lams = lams[keep]
-    omega = omega[keep]
-    a1 = _scalar_sum(terms1, omega)
-    a2 = _scalar_sum(terms2, omega)
+    lams, omega = lams[keep], omega[keep]
+    a1, a2 = terms1.alpha(omega), terms2.alpha(omega)
     return lams, a1, a2, a1 - a2

@@ -91,7 +91,7 @@ def test_criterion_03_clock_line():
 
 def test_criterion_04_zeeman_multiplet():
     with criterion(4, "Zeeman pi multiplet and pair averaging", 1.0):
-        transition = ClockTransition(nuclear_spin=4.5, linewidth_hz=1e-3,
+        transition = ClockTransition(nuclear_spin=4.5,
                                      dg_hz_per_t=108.4)
         nu0 = 137.25
         for field in (1e-5, 5e-5, 1e-4, 3e-4, 1e-3):

@@ -12,8 +12,11 @@ import pytest
 
 import magictrap.cavityqed as cavityqed
 import magictrap.cli as cli
+from magictrap.atomdata import load_species
 from magictrap.cli import emit, parse_quantity, resolve_species, run
 from magictrap.errors import NumericalError, ValidationError
+from magictrap.fieldtrap import CircularPolarization
+from magictrap.polarizability import find_magic
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -318,6 +321,18 @@ class TestDeterminism:
         assert (tmp_path / "scan.csv").read_bytes() == \
             (GOLDEN / "polarizability_sr87_700_900.csv").read_bytes()
 
+    @pytest.mark.parametrize("state2, m2", [("3P1", 1), ("3P1", -1), ("3P2", 2)])
+    def test_golden_sublevel_magic(self, state2, m2, tmp_path):
+        # sigma+ light, 1S0 m = 0 against one sublevel; 3P2 covers the J = 2 tensor term
+        name = f"magic_sr87_{state2}_sigma+_m{m2:+d}.json"
+        species = load_species(resolve_species("sr87"))
+        found = find_magic(species, "1S0", state2, (300e-9, 3000e-9),
+                           pol=CircularPolarization(+1), m1=0, m2=m2)
+        cli.emit_magic_points(found, tmp_path / name,
+                              meta={"species": species.name, "state1": "1S0", "state2": state2,
+                                    "pol": "circular+1", "m1": 0, "m2": m2})
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
 
 def test_trap_depth_sources_mutually_exclusive(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -416,19 +431,47 @@ def test_clock_line_carrier_node_reports_undefined_fwhm(tmp_path, monkeypatch, c
         np.column_stack((trace.detuning_hz, trace.response)).tolist()
 
 
+def run_fresh(argv, cwd):
+    """A fresh ``python -m magictrap`` process, so numpy's RuntimeWarnings
+    would reach its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "magictrap", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("argv", [
     ["clock-line", "--duration", "0.5s", "--rabi", "1e-300hz"],  # Omega^2 underflows to 0
     ["clock-line", "--duration", "1e-300s", "--pi"],  # Omega^2 overflows
 ], ids=["omega-squared-underflows", "omega-squared-overflows"])
 def test_rabi_without_a_finite_square_exits_1_quietly(argv, tmp_path):
-    # a fresh process, so numpy's RuntimeWarnings would reach stderr
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "magictrap", *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True)
+    proc = run_fresh(argv, tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["clock-line", "--duration", "1e-200s", "--rabi", "1e150hz"],  # w^2 of the FWHM walk
+    ["clock-line", "--duration", "0.5s", "--pi", "--span", "1e300hz"],  # w^2 of the grid
+], ids=["fwhm-walk-overflows", "grid-overflows"])
+def test_rabi_overflow_exits_2_quietly(argv, tmp_path):
+    proc = run_fresh(argv, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "numerical failure" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("duration", ["1e150s", "1e-150s"])
+def test_clock_line_fwhm_keeps_significant_digits(duration, tmp_path, monkeypatch, capsys):
+    # a pi pulse's FWHM is about 0.8/T, however small or large T is
+    monkeypatch.chdir(tmp_path)
+    assert run(["clock-line", "--duration", duration, "--pi"]) == 0
+    text = re.search(r"numeric FWHM = (\S+) Hz", capsys.readouterr().out).group(1)
+    assert len(text) <= 12
+    assert 0.5 < float(text) * float(duration[:-1]) < 1.5
 
 
 @pytest.mark.parametrize("fmt, table", [("csv", list), ("json", list), ("csv", np.array),

@@ -74,8 +74,7 @@ COMMANDS = {
                    "--observed-width": flag("frequency", ["1.8hz"])},
     "zeeman": {"--spin": flag("half", ["9/2", "0", "1/2"], 10),
                "--dg": need("frequency", ["108.4hz", "-5hz"]),
-               "--field": need("bfield", ["0.3mt", "-1mt"]),
-               "--linewidth": flag("frequency", ["0.001hz"])},
+               "--field": need("bfield", ["0.3mt", "-1mt"])},
     "sidebands": {"--eta": need("float", ["0.31", "0.9"]),
                   "--nu-z": need("frequency", ["49khz"]),
                   "--nbar": need("float", ["1", "0.2"]),

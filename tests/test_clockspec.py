@@ -79,7 +79,7 @@ class TestRabi:
                 rabi_lineshape(omega, 0.5, np.array([0.0]))
 
 
-SR_CLOCK = ClockTransition(nuclear_spin=4.5, linewidth_hz=1e-3,
+SR_CLOCK = ClockTransition(nuclear_spin=4.5,
                            dg_hz_per_t=108.4)
 
 

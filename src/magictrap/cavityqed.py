@@ -15,7 +15,9 @@ with the trace condition in place of one equation, in numpy alone. With
 N = a'a + sigma+ sigma-, rho_ij has coherence order q = N_i - N_j; only the
 drive changes q, by +-1, so the generator is block tridiagonal in q and
 the probe frequency shifts only the diagonal of each block. The blocks are
-assembled once per probe grid and eliminated for stacks of probe points.
+assembled once per probe grid and eliminated for stacks of probe points. A
+spectrum reads block 0 alone, so a stack holds one level at a time, its s_q
+and T_q; only the one-point steady_state keeps every T_q, for rho.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .errors import NumericalError, ValidationError
 # Fock-truncation hygiene thresholds
 TOP_FOCK_WARN = 1e-6
 DRIVE_FRACTION_WARN = 0.1
-# bytes of transfer matrices one stack of probe points may hold
-CHUNK_BYTES = 4 << 20
+# bytes of one level's s_q and T_q that a stack of probe points may hold
+CHUNK_BYTES = 1 << 20
 
 
 class TruncationWarning(UserWarning):
@@ -243,33 +245,40 @@ class _CoherenceBlocks:
         # position in block 0 of each pair's transpose: block 0 is sorted by
         # (i, j), so this is the order by (j, i), an involution
         self.transpose0 = np.lexsort((i0, j0))
-        # probe points per stack, from the bytes of their transfer matrices
-        self.chunk = max(1, CHUNK_BYTES // sum(
-            16 * p[q][0].size * p[q - 1][0].size for q in range(1, n_levels + 1)))
+        # probe points per stack (>= 2) from s_q and T_q at level 1, the largest
+        n0, n1 = p[0][0].size, p[1][0].size
+        self.chunk = max(2, CHUNK_BYTES // (16 * n1 * (n1 + n0)))
 
-    def eliminate(self, omega_p: np.ndarray):
-        """Block 0 of the steady state for each probe frequency, and the
-        transfer matrices T_q of x_q = T_q x_{q-1} for q = 1 .. n_max + 1."""
+    def eliminate(self, omega_p: np.ndarray, transfers: list | None = None):
+        """Block 0 of the steady state for each probe frequency. A list given
+        as transfers receives the transfer matrices T_q of x_q = T_q x_{q-1}
+        for q = 1 .. n_max + 1; otherwise T_{q+1} is dropped before T_q is
+        allocated, so a stack holds one level at a time."""
         w = (omega_p - self.sys.omega_c) / self.scale
-        transfers, t = [], None
+        t = ()  # nothing above the top level
         try:
             for q in range(len(self.diag) - 1, 0, -1):
                 s = np.repeat(self.diag[q][None], w.size, axis=0)
                 s[:, range(s.shape[1]), range(s.shape[1])] += 1j * q * w[:, None]
-                if t is not None:
-                    s += self.up[q] @ t
-                t = -np.linalg.solve(s, self.down[q][None])
-                transfers.insert(0, t)
-            centre = (self.diag[0] + self.up[0] @ t
-                      + self.up_neg @ t.conj()[:, :, self.transpose0])
-            x0 = np.linalg.solve(centre, np.eye(centre.shape[1], 1)[None])[:, :, 0]
+                # a point at a time, here and in block 0: no stack-sized temporaries
+                for k in range(len(t)):
+                    s[k] += self.up[q] @ t[k]
+                del t
+                t = np.linalg.solve(s, self.down[q][None])
+                del s
+                np.negative(t, out=t)
+                if transfers is not None:
+                    transfers.insert(0, t)
+            x0 = np.array([np.linalg.solve(self.diag[0] + self.up[0] @ t_k
+                                           + self.up_neg @ t_k.conj()[:, self.transpose0],
+                                           np.eye(t_k.shape[1], 1))[:, 0] for t_k in t])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"singular Liouvillian ({self.sys}, drive={self.drive}, "
                 f"omega_p={omega_p.min()}..{omega_p.max()}): {exc}") from exc
         if not np.all(np.isfinite(x0)):
             raise NumericalError("steady-state solve returned non-finite entries")
-        return x0, transfers
+        return x0
 
     def rho(self, x0: np.ndarray, transfers) -> np.ndarray:
         """The density matrix of the first probe point, by back-substitution."""
@@ -316,7 +325,8 @@ def steady_state(sys: CavitySystem, drive: float, omega_p: float,
     """
     grid = np.array([omega_p], dtype=float)
     blocks = _CoherenceBlocks(sys, drive, z, grid)
-    rho = blocks.rho(*blocks.eliminate(grid))
+    transfers = []
+    rho = blocks.rho(blocks.eliminate(grid, transfers), transfers)
     mean_n, transmission, top_fock = _observables(sys, drive, np.real(np.diag(rho)))
     return SteadyState(float(mean_n), float(transmission), rho, float(top_fock))
 
@@ -336,8 +346,8 @@ def vacuum_rabi_spectrum(sys: CavitySystem, drive: float, omega_p_grid,
     """Map the steady state over a probe grid; peaks are local maxima.
 
     The blocks are assembled once for the whole grid and eliminated for
-    stacks of probe points whose transfer matrices fit in CHUNK_BYTES.
-    Spectra need only the populations, so nothing is back-substituted.
+    stacks of at least 2 probe points whose s_q and T_q fit in CHUNK_BYTES.
+    Spectra need only populations: no T_q outlives its level.
     """
     grid = np.asarray(omega_p_grid, dtype=float)
     if grid.size == 0:
@@ -346,8 +356,11 @@ def vacuum_rabi_spectrum(sys: CavitySystem, drive: float, omega_p_grid,
         raise ValidationError("g2 over the spectrum needs n_max >= 3")
 
     blocks = _CoherenceBlocks(sys, drive, z, grid)
-    pops = np.concatenate([blocks.eliminate(grid[i:i + blocks.chunk])[0][:, blocks.pops].real
-                           for i in range(0, grid.size, blocks.chunk)])
+    # one layout (F) however the grid is split: it picks the BLAS path of the sums
+    pops = np.empty((grid.size, blocks.pops.size), order="F")
+    for i in range(0, grid.size, blocks.chunk):
+        x0 = blocks.eliminate(grid[i:i + blocks.chunk])
+        pops[i:i + blocks.chunk] = x0[:, blocks.pops].real
     mean_n, transmission, _ = _observables(sys, drive, pops)
     g2 = _g2(pops, mean_n) if with_g2 else None
 

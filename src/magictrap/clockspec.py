@@ -136,7 +136,7 @@ def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
             start = his[-1] + step
         if float(prob(hi)) <= half:
             root = _brent(lambda d: float(prob(d)) - half, hi - step, hi,
-                          xtol=1e-12, rtol=1e-14)
+                          xtol=1e-12 * step, rtol=1e-14)
             fwhm = 2.0 * root
 
     labels = (SpectralFeature("carrier", 0.0, peak),)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -376,6 +377,48 @@ class TestGridSolver:
         assert 1 < chunk < grid.size and grid.size % chunk
         result = vacuum_rabi_spectrum(sys_, eps, grid, z=z, with_g2=True)
         assert_matches_points(result, sys_, eps, z)
+
+    @pytest.mark.parametrize("n_max", [5, 20])
+    def test_spectrum_bytes_do_not_depend_on_the_split(self, n_max, monkeypatch):
+        """Two-point stacks with a one-point tail give the bytes of one
+        whole-grid stack: the populations keep one layout, so the sums over
+        them take one BLAS path."""
+        sys_ = make_system(n_max=n_max, delta_b=-0.2 * G0, delta_e=0.15 * G0,
+                           mode_wavelength_m=852e-9)
+        z, eps = 90e-9, 0.05 * KAPPA
+        grid = np.linspace(-2.5 * G0, 1.5 * G0, 45)
+        results = []
+        for budget, chunk in ((0, 2), (1 << 40, grid.size)):
+            monkeypatch.setattr(cavityqed, "CHUNK_BYTES", budget)
+            assert min(cavityqed._CoherenceBlocks(sys_, eps, z, grid).chunk, grid.size) == chunk
+            results.append(vacuum_rabi_spectrum(sys_, eps, grid, z=z, with_g2=True))
+        pairs, whole = results
+        for name in ("transmission", "mean_n", "g2"):
+            assert getattr(pairs, name).tobytes() == getattr(whole, name).tobytes()
+
+    def test_spectrum_memory_is_one_level_per_stack(self):
+        """A stack holds one level's s_q and T_q (CHUNK_BYTES), not the
+        transfer matrices of every level: the traced peak of a spectrum is its
+        blocks plus the budget, with a quarter budget more for one point's
+        products and the grid-sized outputs."""
+        sys_ = make_system(n_max=20, delta_b=-0.2 * G0, delta_e=0.15 * G0,
+                           mode_wavelength_m=852e-9)
+        z, eps = 90e-9, 0.05 * KAPPA
+        grid = np.linspace(-2.5 * G0, 1.5 * G0, 45)
+        blocks = cavityqed._CoherenceBlocks(sys_, eps, z, grid)
+        own = sum(b.nbytes for b in [*blocks.diag, *blocks.down[1:], *blocks.up, blocks.up_neg])
+        del blocks
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            vacuum_rabi_spectrum(sys_, eps, grid, z=z, with_g2=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= own + 1.25 * cavityqed.CHUNK_BYTES
 
     def test_overdriven_spectrum_warns(self):
         with pytest.warns(TruncationWarning):

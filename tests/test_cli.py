@@ -466,12 +466,21 @@ def test_rabi_overflow_exits_2_quietly(argv, tmp_path):
 
 @pytest.mark.parametrize("duration", ["1e150s", "1e-150s"])
 def test_clock_line_fwhm_keeps_significant_digits(duration, tmp_path, monkeypatch, capsys):
-    # a pi pulse's FWHM is about 0.8/T, however small or large T is
+    """A pi pulse's FWHM is c/T, however small or large T is: the refinement
+    tolerance scales with the walk step 1/(4T), so all six printed digits
+    hold. c solves the dimensionless half-maximum condition (u = delta T)."""
+    from scipy.optimize import brentq
+
+    def prob(u):
+        gen2 = math.pi**2 + (2 * math.pi * u) ** 2
+        return math.pi**2 / gen2 * math.sin(math.sqrt(gen2) / 2) ** 2
+
+    c = 2 * brentq(lambda u: prob(u) - 0.5, 0.1, 0.6, xtol=1e-16, rtol=1e-15)
     monkeypatch.chdir(tmp_path)
     assert run(["clock-line", "--duration", duration, "--pi"]) == 0
     text = re.search(r"numeric FWHM = (\S+) Hz", capsys.readouterr().out).group(1)
     assert len(text) <= 12
-    assert 0.5 < float(text) * float(duration[:-1]) < 1.5
+    assert text == f"{c / float(duration[:-1]):.6g}"
 
 
 @pytest.mark.parametrize("fmt, table", [("csv", list), ("json", list), ("csv", np.array),

@@ -308,7 +308,7 @@ def stepwise_fwhm(omega, duration, saturation=1.0):
     if float(prob(hi)) > half:
         return None
     return 2.0 * brentq(lambda d: float(prob(d)) - half, hi - step, hi,
-                        xtol=1e-12, rtol=1e-14)
+                        xtol=1e-12 * step, rtol=1e-14)
 
 
 @pytest.mark.parametrize("omega_t,duration,saturation", [

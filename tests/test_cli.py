@@ -104,6 +104,118 @@ class TestEmit:
         assert (tmp_path / "e.json").read_text().endswith('"columns":["x","y"],"rows":[]}\n')
 
 
+def _serial(monkeypatch):
+    """One usable CPU, and a fork that fails the test if the code tries it."""
+    def no_fork():
+        raise AssertionError("the serial path forked")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+class TestSplitEmit:
+    """A float table formatted across CPUs by forked children."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def table(count):
+        rng = np.random.default_rng(count)
+        return rng.standard_normal((count, 3)) * 10.0 ** rng.integers(-300, 300, (count, 3))
+
+    @staticmethod
+    def split(monkeypatch, cpus, block_rows, fork_rows):
+        """Pretend ``cpus`` usable CPUs and set the block and part sizes;
+        returns the list of forks made."""
+        forks, fork = [], os.fork
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(cli, "_FORK_ROWS", fork_rows)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("cpus, block_rows, fork_rows, count, parts", [
+        (2, 1024, 1024, 2048, 2),  # the cut on a block boundary, whole blocks
+        (2, 1024, 1024, 2049, 2),  # one row past it
+        (2, 1024, 512, 1025, 2),   # a last part of one row
+        (3, 8, 16, 100, 3),        # two children, parts of 32, 32 and 36 rows
+        (4, 8, 16, 40, 2),         # rows, not CPUs, limit the parts
+    ], ids=["boundary", "one-past", "last-row", "three-parts", "row-bound"])
+    def test_bytes_match_the_serial_path(self, tmp_path, monkeypatch, fmt, cpus, block_rows,
+                                         fork_rows, count, parts):
+        table = self.table(count)
+        forks = self.split(monkeypatch, cpus, block_rows, fork_rows)
+        emit(["x", "y", "z"], table, fmt, tmp_path / f"split.{fmt}", meta={"k": 1})
+        assert len(forks) == parts - 1
+        _serial(monkeypatch)
+        emit(["x", "y", "z"], table, fmt, tmp_path / f"serial.{fmt}", meta={"k": 1})
+        split = (tmp_path / f"split.{fmt}").read_bytes()
+        assert split == (tmp_path / f"serial.{fmt}").read_bytes()
+        if fmt == "json":
+            assert np.array_equal(json.loads(split)["rows"], table)
+
+    @pytest.mark.parametrize("fail, why", [
+        (lambda: 1 / 0, "exit status 1"),
+        (lambda: os.kill(os.getpid(), 9), "killed by signal 9"),
+    ], ids=["raises", "killed"])
+    def test_failed_child_raises_and_keeps_the_old_output(self, tmp_path, monkeypatch, capsys,
+                                                          fail, why):
+        out = tmp_path / "t.csv"
+        emit(["a"], [[1.0]], "csv", out)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        parent, block_text = os.getpid(), cli._block_text
+
+        def fails_in_a_child(*args):
+            if os.getpid() != parent:
+                fail()
+            return block_text(*args)
+
+        self.split(monkeypatch, 3, 8, 16)
+        monkeypatch.setattr(cli, "_block_text", fails_in_a_child)
+        with pytest.raises(NumericalError, match=rf"formatting rows 32-63 failed .*\({why}\)$"):
+            emit(["x", "y", "z"], self.table(100), "csv", out)
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+        capsys.readouterr()
+        assert run(["polarizability", *SCAN_ARGS, "--points", "100", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+    def test_children_are_reaped_when_the_parent_fails(self, tmp_path, monkeypatch):
+        forks = self.split(monkeypatch, 3, 8, 16)
+        parent, block_text = os.getpid(), cli._block_text
+
+        def fails_in_the_parent(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("parent failure")
+            return block_text(*args)
+
+        monkeypatch.setattr(cli, "_block_text", fails_in_the_parent)
+        with pytest.raises(RuntimeError, match="parent failure"):
+            emit(["x", "y", "z"], self.table(100), "json", tmp_path / "t.json")
+        assert len(forks) == 2 and list(tmp_path.iterdir()) == []
+
+    def test_children_are_reaped_when_the_write_fails(self, tmp_path, monkeypatch):
+        forks = self.split(monkeypatch, 3, 8, 16)
+
+        def write_fails(path, chunks, meta, argv):
+            it = iter(chunks)
+            next(it), next(it)  # the header, then the first block: the children run
+            raise OSError("no space left")
+
+        monkeypatch.setattr(cli, "_write", write_fails)
+        with pytest.raises(OSError, match="no space left") as failure:
+            emit(["x", "y", "z"], self.table(100), "csv", tmp_path / "t.csv")
+        # reaped already, not when the traceback (held here) lets the generator go
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(forks) == 2 and failure.traceback
+
+
 class TestExitCodes:
     def test_unknown_flag_prints_usage_and_exits_1(self):
         proc = run_cli("magic", "--nonsense")
@@ -399,6 +511,29 @@ def test_bad_values_exit_1_before_any_write(argv, tmp_path, monkeypatch, capsys)
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"magictrap: {argv[-2]}")  # names the offending flag
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("make, name, what", [
+    (os.mkfifo, "fifo", "{out} exists and is not a regular file"),
+    (os.mkdir, "dir", "{out} exists and is not a regular file"),
+    (lambda p: os.mkdir(f"{p}.meta.json"), "t.json", "{out}.meta.json exists and is not a "
+                                                      "regular file"),
+    (lambda p: None, "missing/t.json", "no directory {dir}"),
+], ids=["fifo", "directory", "sidecar-directory", "missing-directory"])
+def test_out_onto_a_path_that_is_not_a_regular_file_exits_1(make, name, what, tmp_path,
+                                                             monkeypatch, capsys):
+    out = tmp_path / name
+    make(out)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    assert run(["polarizability", *SCAN_ARGS, "--points", "5", "--format", "json",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"magictrap: cannot write {out}: {what.format(out=out, dir=out.parent)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if name == "fifo":
+        assert out.is_fifo()
 
 
 def test_size_caps_bound_the_work():

@@ -1,5 +1,6 @@
 """Start-up cost: no subcommand imports scipy, which only the tests use as
-an oracle, and no command loads a worker pool (``concurrent.*``).
+an oracle, and no command loads a worker pool (``concurrent.*`` or
+``multiprocessing``), also when a large table is formatted across CPUs.
 
 Each check runs in a fresh interpreter, so modules imported by other tests
 do not hide an eager import.
@@ -29,6 +30,8 @@ SCAN = ["--species", "sr87", "--state1", "1S0", "--state2", "3P0",
 COMMANDS = [
     ["--version"],
     ["polarizability", *SCAN],
+    # enough rows to split the table across CPUs where two are usable
+    ["polarizability", *SCAN[:-1], "40000", "--out", "large.csv"],
     ["magic", *SCAN],
     ["trap", "--species", "sr87", "--state", "1S0", "--lattice-lambda", "813.428nm",
      "--waist", "30um", "--depth-erec", "50"],
@@ -48,7 +51,9 @@ for argv in COMMANDS:
 print(json.dumps({"codes": codes,
                   "commands": sorted({argv[0] for argv in COMMANDS} - {"--version"}),
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-                  "concurrent": sorted(m for m in sys.modules if m.startswith("concurrent"))}))
+                  "concurrent": sorted(m for m in sys.modules if m.startswith("concurrent")),
+                  "multiprocessing": sorted(m for m in sys.modules
+                                            if m.split(".")[0] == "multiprocessing")}))
 """
 
 # the same commands with scipy unimportable: the runtime needs numpy alone
@@ -64,15 +69,16 @@ def run_script(script, cwd):
 
 def test_commands_without_a_solver_never_import_scipy(tmp_path):
     result = run_script(NO_SCIPY_SCRIPT, tmp_path)
-    assert result["codes"] == [0] * 11
+    assert result["codes"] == [0] * 12
     assert result["scipy"] == []
     assert result["concurrent"] == []
+    assert result["multiprocessing"] == []
 
 
 def test_every_command_runs_without_scipy_installed(tmp_path):
     result = run_script(WITHOUT_SCIPY_SCRIPT, tmp_path)
     assert result["commands"] == sorted(magictrap.cli.COMMANDS)
-    assert result["codes"] == [0] * 11
+    assert result["codes"] == [0] * 12
 
 
 # no command loads scipy any more (all are in the scripts above); these stay

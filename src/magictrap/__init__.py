@@ -2,29 +2,3 @@
 lattice-clock spectroscopy, and cavity QED with FORT shifts."""
 
 __version__ = "0.1.0"
-
-from .atomdata import (Level, Species, TransitionLine, bundled_species_path,
-                       data_dir, dipole_from_gamma, gamma_from_dipole,
-                       load_species)
-from .cavityqed import (CavitySystem, CriticalNumbers, DressedPair,
-                        ProbeResult, SteadyState, TruncationWarning,
-                        blockade_detuning, coupling_g0, critical_numbers,
-                        dressed_transitions, g2_zero, jc_ladder, mode_volume,
-                        steady_state, vacuum_rabi_spectrum)
-from .clockspec import (AggregateResult, ClockTransition, Measurement,
-                        NU0_OFFSET_HZ, SpectralFeature, SpectrumTrace,
-                        aggregate_measurements, nbar_from_asymmetry,
-                        pair_average, quality_factor, rabi_lineshape,
-                        read_measurement_ledger, sideband_spectrum,
-                        zeeman_multiplet)
-from .errors import (CatalogError, MagicTrapError, NumericalError, PoleError,
-                     ValidationError)
-from .fieldtrap import (CircularPolarization, FieldConfig, GaussianBeam,
-                        Lattice1D, LinearPolarization, TrapParameters,
-                        intensity_at, is_resolved_sideband, lamb_dicke,
-                        peak_intensity, recoil, site_offset, trap_frequencies,
-                        trap_parameters)
-from .polarizability import (MagicPoint, PolarizabilityResult, StarkShift,
-                             alpha_m_resolved, alpha_scalar,
-                             differential_clock_shift, find_magic,
-                             scan_delta_alpha, stark_shift)

@@ -12,6 +12,7 @@ import pytest
 
 import magictrap.cavityqed as cavityqed
 import magictrap.cli as cli
+import magictrap.clockspec as clockspec
 from magictrap.atomdata import load_species
 from magictrap.cli import emit, parse_quantity, resolve_species, run
 from magictrap.errors import NumericalError, ValidationError
@@ -502,6 +503,7 @@ CAVITY_ARGS = ["--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz", "--poin
     ["ladder", "--g0", "1e6hz", "--n", "2.7"],
     ["zeeman", "--dg", "108.4hz", "--field", "0.3mt", "--spin", "11"],
     ["cavity-spectrum", *CAVITY_ARGS, "--nmax", "41"],
+    ["blockade", *CAVITY_ARGS[:-2], "--nmax", "2"],  # g2(0) needs 3 Fock levels
     ["cavity-spectrum", *CAVITY_ARGS, "--jobs", "65"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_bad_values_exit_1_before_any_write(argv, tmp_path, monkeypatch, capsys):
@@ -654,8 +656,8 @@ def test_non_finite_result_exits_2_without_output(tmp_path, monkeypatch, capsys)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ledger.csv").write_text(
         "site,value_hz_minus_nu0,stat_hz,sys_hz\na,60,1,1\nb,70,1,1\n")
-    result = cli.aggregate_measurements(cli.read_measurement_ledger("ledger.csv"))
-    monkeypatch.setattr(cli, "aggregate_measurements",
+    result = clockspec.aggregate_measurements(clockspec.read_measurement_ledger("ledger.csv"))
+    monkeypatch.setattr(clockspec, "aggregate_measurements",
                         lambda rows: dataclasses.replace(result, mean_hz=math.nan))
     assert run(["aggregate", "ledger.csv"]) == 2
     assert "numerical failure" in capsys.readouterr().err

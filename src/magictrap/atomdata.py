@@ -50,7 +50,6 @@ class TransitionLine:
     frequency_hz: float    # ordinary frequency of the transition
     gamma_s: float         # partial decay rate upper -> lower
     d_au: float            # reduced dipole matrix element, |<i||d||k>|, a.u.
-    cal: float = 1.0       # optional strength calibration multiplier
 
     def __post_init__(self):
         if self.frequency_hz <= 0:
@@ -274,7 +273,6 @@ def load_species(path: str | Path, use_calibration: bool = False) -> Species:
             # cal multiplies the line strength d^2, so d scales by sqrt(cal)
             d_au = strength * math.sqrt(mult)
             gamma_s = gamma_from_dipole(d_au, frequency_hz, degeneracy)
-        lines.append(TransitionLine(lower_label, upper_label, frequency_hz,
-                                    gamma_s, d_au, cal))
+        lines.append(TransitionLine(lower_label, upper_label, frequency_hz, gamma_s, d_au))
 
     return Species(name, mass_kg, nuclear_spin, tuple(levels), tuple(lines))

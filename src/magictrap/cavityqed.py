@@ -3,12 +3,14 @@
 Conventions (documented; the literature is ambiguous):
   * kappa and gamma are HWHM field/polarization decay rates; the Lindblad
     jump operators are sqrt(2 kappa) a and sqrt(2 gamma) sigma-.
+  * Every frequency (rad/s) is measured from the bare atom-cavity
+    resonance omega_0, shared by the bare atom and the cavity.
+  * delta_b, delta_e are the FORT Stark shifts of the ground and excited
+    levels at the atom's position; delta_e - delta_b is the atom's only
+    offset from the cavity (0 in a magic FORT).
   * The probe drives the cavity only; transmission is normalized so an
-    empty cavity (g = 0) probed at omega_p = omega_C gives T = 1, i.e.
-    T = <a'a> (kappa/eps)^2.
-  * delta_b, delta_e are the FORT Stark shifts (rad/s) of the ground and
-    excited levels at the atom's position; the effective atomic frequency
-    is omega_A + delta_e - delta_b.
+    empty cavity (g = 0) probed on resonance (omega_p = 0) gives T = 1,
+    i.e. T = <a'a> (kappa/eps)^2.
 
 Steady states come from a direct solve of the vectorized Lindblad generator
 with the trace condition in place of one equation, in numpy alone. With
@@ -47,8 +49,6 @@ class CavitySystem:
     g0: float                       # rad/s, single-photon coupling at an antinode
     kappa: float                    # rad/s, cavity field decay (HWHM)
     gamma: float                    # rad/s, atomic decay to non-cavity modes (HWHM)
-    omega_a: float = 0.0            # rad/s, bare atomic frequency
-    omega_c: float = 0.0            # rad/s, bare cavity frequency
     delta_b: float = 0.0            # rad/s, FORT shift of the ground level
     delta_e: float = 0.0            # rad/s, FORT shift of the excited level
     n_max: int = 5                  # Fock truncation (>= 2)
@@ -75,7 +75,7 @@ class CavitySystem:
 
 @dataclass(frozen=True)
 class DressedPair:
-    """n = 1 dressed-transition frequencies relative to the bare atomic
+    """n = 1 dressed-transition frequencies relative to the bare atom-cavity
     resonance; Delta+ >= Delta-, with Delta+ + Delta- = delta_e - delta_b
     and Delta+ * Delta- = -g^2."""
 
@@ -130,21 +130,13 @@ def critical_numbers(sys: CavitySystem) -> CriticalNumbers:
                            sys.g0 > sys.gamma and sys.g0 > sys.kappa)
 
 
-def _require_degenerate(sys: CavitySystem):
-    scale = max(abs(sys.omega_a), abs(sys.omega_c), 1.0)
-    if abs(sys.omega_a - sys.omega_c) > 1e-12 * scale:
-        raise ValidationError(
-            f"omega_A != omega_C ({sys.omega_a} vs {sys.omega_c}); the dressed-state "
-            "expressions assume a degenerate atom and cavity")
-
-
 def dressed_transitions(sys: CavitySystem, z: float = 0.0) -> DressedPair:
-    """Exact n = 0 -> 1 transition frequencies, relative to the bare atom.
+    """Exact n = 0 -> 1 transition frequencies, relative to the bare
+    atom-cavity resonance.
 
-    Delta+- = (delta_e - delta_b)/2 +- sqrt((delta_e - delta_b)^2/4 + g^2);
-    requires omega_A = omega_C (dissipation neglected).
+    Delta+- = (delta_e - delta_b)/2 +- sqrt((delta_e - delta_b)^2/4 + g^2),
+    with dissipation neglected.
     """
-    _require_degenerate(sys)
     g = sys.g_at(z)
     if sys.delta_e == sys.delta_b:
         # the magic-FORT case is exact algebra: +-g(r), no rounding through
@@ -164,7 +156,6 @@ def jc_ladder(sys: CavitySystem, n: int, z: float = 0.0) -> np.ndarray:
     """
     if not 1 <= n <= sys.n_max:
         raise ValidationError(f"manifold n={n} outside 1..n_max={sys.n_max}")
-    _require_degenerate(sys)
     g = sys.g_at(z)
     mean = 0.5 * (sys.delta_e + sys.delta_b)
     half = 0.5 * (sys.delta_e - sys.delta_b)
@@ -197,10 +188,10 @@ def _block(ops, rows, cols):
 class _CoherenceBlocks:
     """The steady-state equations of one system, cut by coherence order
     q = -(n_max + 1) .. n_max + 1. The trace condition replaces the equation
-    of rho_00, in block 0. The probe, as w = (omega_p - omega_C)/scale, adds
-    i q w to the diagonal of block q (measured from omega_C so that an
-    optical omega_C does not cancel against it). Block -q holds the
-    transposes of block q's pairs in the same order; the generator maps
+    of rho_00, in block 0. In the frame of the probe, the cavity sits at
+    -omega_p and the atom at delta_e - delta_b - omega_p; the probe, as
+    w = omega_p/scale, adds i q w to the diagonal of block q. Block -q holds
+    the transposes of block q's pairs in the same order; the generator maps
     Hermitian matrices to Hermitian ones, so block -q's equations are the
     conjugates of block q's and only q > 0 is eliminated.
     """
@@ -216,17 +207,16 @@ class _CoherenceBlocks:
         # scale, fixed by the grid's extreme detunings (a one-point grid
         # gives that point's own scale)
         lo, hi = float(np.min(grid)), float(np.max(grid))
-        omega_atom = sys.omega_a + sys.delta_e - sys.delta_b
-        self.scale = max(sys.g0, sys.kappa, sys.gamma, drive,
-                         abs(sys.omega_c - lo), abs(sys.omega_c - hi),
-                         abs(omega_atom - lo), abs(omega_atom - hi))
+        offset = sys.delta_e - sys.delta_b
+        self.scale = max(sys.g0, sys.kappa, sys.gamma, drive, abs(lo), abs(hi),
+                         abs(offset - lo), abs(offset - hi))
         g_s, kappa_s, gamma_s, eps_s = (sys.g_at(z) / self.scale, sys.kappa / self.scale,
                                         sys.gamma / self.scale, drive / self.scale)
 
         # cavity (x) atom with the atom basis [g, e]: index i = 2 n + s
         a = np.kron(np.diag(np.sqrt(np.arange(1.0, n_levels)), 1), np.eye(2))
         sm = np.kron(np.eye(n_levels), [[0.0, 1.0], [0.0, 0.0]])
-        h = ((omega_atom - sys.omega_c) / self.scale * (sm.T @ sm)
+        h = (offset / self.scale * (sm.T @ sm)
              + g_s * (a.T @ sm + a @ sm.T) + eps_s * (a + a.T))
         collapse = (math.sqrt(2.0 * kappa_s) * a, math.sqrt(2.0 * gamma_s) * sm)
         ops = (h, collapse, sum(c.T @ c for c in collapse))
@@ -254,7 +244,7 @@ class _CoherenceBlocks:
         as transfers receives the transfer matrices T_q of x_q = T_q x_{q-1}
         for q = 1 .. n_max + 1; otherwise T_{q+1} is dropped before T_q is
         allocated, so a stack holds one level at a time."""
-        w = (omega_p - self.sys.omega_c) / self.scale
+        w = omega_p / self.scale
         t = ()  # nothing above the top level
         try:
             for q in range(len(self.diag) - 1, 0, -1):

@@ -602,12 +602,18 @@ def _run_polarizability(args, argv):
 
 def _run_magic(args, argv):
     from .polarizability import find_magic
+    out = Path(args.out or "magic.json")
+    if args.scan_out:
+        targets = {os.path.realpath(f"{p}{tail}") for p in (args.scan_out, out)
+                   for tail in ("", ".meta.json")}
+        if len(targets) < 4:
+            raise ValidationError(f"--scan-out {args.scan_out} overlaps --out {out}: the scan "
+                                  "table, the magic JSON and their sidecars need 4 paths")
     species = _load(args.species, args.calibrated)
     found = find_magic(species, args.state1, args.state2, (args.lo, args.hi),
                        grid_points=args.points)
     if args.scan_out:
         _emit_scan(species, args, "csv", Path(args.scan_out), argv)
-    out = Path(args.out or "magic.json")
     emit_magic_points(found, out, meta=_scan_meta(species, args), argv=argv)
     for pt in found:
         print(f"magic {args.state1}/{args.state2}: lambda_L = "
@@ -679,7 +685,7 @@ def _run_clock_line(args, argv):
 def _run_zeeman(args, argv):
     from .clockspec import ClockTransition, zeeman_multiplet
     transition = ClockTransition(nuclear_spin=args.spin, dg_hz_per_t=args.dg)
-    multiplet = zeeman_multiplet(transition, args.field, "pi")
+    multiplet = zeeman_multiplet(transition, args.field)
     return _finish(args, argv, ["m_f", "offset_hz"], multiplet,
                    {"field_t": args.field, "dg_hz_per_t": args.dg},
                    f"pi multiplet: {len(multiplet)} lines, "
@@ -726,6 +732,8 @@ def _cavity_system(args, delta_b: float = 0.0, delta_e: float = 0.0):
 
 def _run_cavity_spectrum(args, argv):
     from .cavityqed import vacuum_rabi_spectrum
+    if args.g2 and args.nmax < 3:  # g2(0) needs 3 Fock levels
+        raise ValidationError(f"--nmax must be >= 3 with --g2, got '{args.nmax}'")
     sys_ = _cavity_system(args, args.delta_b, args.delta_e)
     drive = TWO_PI * args.drive if args.drive is not None else 1e-3 * sys_.kappa
     lo = TWO_PI * args.lo if args.lo is not None else -2.0 * sys_.g0

@@ -203,14 +203,11 @@ def quality_factor(frequency_hz: float, fwhm_hz: float) -> float:
     return frequency_hz / fwhm_hz
 
 
-def zeeman_multiplet(transition: ClockTransition, field_t: float,
-                     polarization: str = "pi") -> list[tuple[float, float]]:
+def zeeman_multiplet(transition: ClockTransition, field_t: float) -> list[tuple[float, float]]:
     """(m_F, offset_hz) for the 2I+1 pi components under a bias field.
 
     Offsets are m_F * dg * B; only Delta m_F = 0 excitation is modeled.
     """
-    if polarization != "pi":
-        raise ValidationError(f"unsupported polarization '{polarization}' (pi only)")
     i2 = round(2 * transition.nuclear_spin)
     out = []
     for two_m in range(-i2, i2 + 1, 2):

@@ -16,10 +16,6 @@ class CatalogError(ValidationError):
 class PoleError(MagicTrapError, ValueError):
     """Requested wavelength sits inside the guard band of a catalog line."""
 
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
-
 
 class NumericalError(MagicTrapError, RuntimeError):
     """A numerical procedure failed (singular system, no convergence)."""

@@ -78,26 +78,17 @@ class FieldConfig:
 
 @dataclass(frozen=True)
 class GaussianBeam:
-    """Focused TEM00 beam. If ``rayleigh_m`` is supplied it must satisfy
-    z0 = pi w0^2 / lambda for the field it is used with; otherwise it is
-    derived from the waist."""
+    """Focused TEM00 beam; its Rayleigh range z0 = pi w0^2 / lambda comes
+    from the waist and the wavelength of the field it is used with."""
 
     waist_m: float
-    rayleigh_m: float | None = None
 
     def __post_init__(self):
         if self.waist_m <= 0:
             raise ValidationError("waist must be > 0")
 
     def rayleigh_range(self, wavelength_m: float) -> float:
-        z0 = math.pi * self.waist_m**2 / wavelength_m
-        if self.rayleigh_m is not None:
-            if abs(self.rayleigh_m - z0) / z0 > 1e-9:
-                raise ValidationError(
-                    f"rayleigh_m {self.rayleigh_m} inconsistent with "
-                    f"pi*w0^2/lambda = {z0}")
-            return self.rayleigh_m
-        return z0
+        return math.pi * self.waist_m**2 / wavelength_m
 
 
 @dataclass(frozen=True)

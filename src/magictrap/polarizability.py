@@ -74,7 +74,6 @@ class StarkShift:
 @dataclass(frozen=True)
 class MagicPoint:
     wavelength_m: float
-    states: tuple[str, str]
     residual_au: float                # |alpha1 - alpha2| re-evaluated at the root
     bracket_m: tuple[float, float]
 
@@ -146,8 +145,7 @@ def _terms_at(species: Species, state: str, wavelength_m: float):
             ln = terms.lines[hit]
             raise PoleError(
                 f"wavelength within pole guard band of line "
-                f"{ln.lower}-{ln.upper} ({1e9 * SPEED_OF_LIGHT / ln.frequency_hz:.4f} nm)",
-                line=ln)
+                f"{ln.lower}-{ln.upper} ({1e9 * SPEED_OF_LIGHT / ln.frequency_hz:.4f} nm)")
     return terms, omega
 
 
@@ -304,8 +302,7 @@ def find_magic(species: Species, state1: str, state2: str,
                     b = mid
             root = 0.5 * (a + b)
             points.append(MagicPoint(
-                wavelength_m=root, states=(state1, state2),
-                residual_au=abs(float(delta(root)[0])), bracket_m=bracket))
+                wavelength_m=root, residual_au=abs(float(delta(root)[0])), bracket_m=bracket))
     points.sort(key=lambda p: p.wavelength_m)
     return points
 

@@ -124,7 +124,7 @@ class TestDipoleGamma:
             gamma = gamma_from_dipole(d, freq, deg)
             line = sr87.lines[0]
             back = dipole_from_gamma(
-                type(line)(line.lower, line.upper, freq, gamma, d, "dipole"), deg)
+                type(line)(line.lower, line.upper, freq, gamma, d), deg)
             assert abs(back - d) / d < 1e-10
 
     def test_461_dipole_regression(self, sr87):

@@ -504,6 +504,13 @@ CAVITY_ARGS = ["--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz", "--poin
     ["zeeman", "--dg", "108.4hz", "--field", "0.3mt", "--spin", "11"],
     ["cavity-spectrum", *CAVITY_ARGS, "--nmax", "41"],
     ["blockade", *CAVITY_ARGS[:-2], "--nmax", "2"],  # g2(0) needs 3 Fock levels
+    ["cavity-spectrum", *CAVITY_ARGS, "--g2", "--nmax", "2"],
+    # magic's two outputs and their sidecars need four different paths
+    ["magic", *SCAN_ARGS, "--points", "40", "--out", "m.json", "--scan-out", "m.json"],
+    ["magic", *SCAN_ARGS, "--points", "40", "--out", "m.json", "--scan-out", "m.json.meta.json"],
+    ["magic", *SCAN_ARGS, "--points", "40", "--out", "s.csv.meta.json", "--scan-out", "s.csv"],
+    ["magic", *SCAN_ARGS, "--points", "40", "--scan-out", "magic.json"],  # the default --out
+    ["magic", *SCAN_ARGS, "--points", "40", "--out", "sub/../m.json", "--scan-out", "./m.json"],
     ["cavity-spectrum", *CAVITY_ARGS, "--jobs", "65"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_bad_values_exit_1_before_any_write(argv, tmp_path, monkeypatch, capsys):
@@ -645,7 +652,7 @@ def test_failed_emit_leaves_previous_output_intact(tmp_path):
 
 def test_magic_points_refuse_non_finite(tmp_path):
     from magictrap.polarizability import MagicPoint
-    point = MagicPoint(wavelength_m=813e-9, states=("1S0", "3P0"), residual_au=math.nan,
+    point = MagicPoint(wavelength_m=813e-9, residual_au=math.nan,
                        bracket_m=(812e-9, 814e-9))
     with pytest.raises(NumericalError):
         cli.emit_magic_points([point], tmp_path / "m.json")

@@ -107,10 +107,6 @@ class TestZeeman:
             for m, off in lines:
                 assert off == pytest.approx(m * SR_CLOCK.dg_hz_per_t * field, rel=1e-12)
 
-    def test_sigma_polarization_rejected(self):
-        with pytest.raises(ValidationError, match="pi"):
-            zeeman_multiplet(SR_CLOCK, 1e-4, "sigma+")
-
 
 class TestPairAverage:
     def test_exact_cancellation(self):

@@ -12,7 +12,8 @@ table, so a runner only sees checked SI values, never raw text.
 
 Each run loads only what its subcommand uses: a runner imports its physics
 module when called, and ``build_parser`` gives flags to the one subcommand
-argv names.
+argv names. numpy loads only in the runners that build arrays, so
+``--version``, ``--help`` and usage errors never import it.
 """
 
 from __future__ import annotations
@@ -22,18 +23,19 @@ import importlib
 import itertools
 import json
 import math
+import numbers
 import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .errors import NumericalError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -268,7 +270,7 @@ _FORK_ROWS = 16 * _BLOCK_ROWS
 
 def _number(value) -> str:
     """17 significant digits; a non-finite number is refused."""
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # int, bool and numpy's integers
         return str(int(value))
     x = float(value)
     if not math.isfinite(x):
@@ -351,6 +353,7 @@ def _float_table(rows: np.ndarray, template: str, sep: str):
     if parts < 2:
         yield from _blocks(rows, template, sep, 0, count)
         return
+    import tempfile
     cuts = [blocks * j // parts * _BLOCK_ROWS for j in range(parts)] + [count]
     spools, pending = [], []
     try:
@@ -440,7 +443,9 @@ def emit(columns, rows, fmt: str, path: Path, meta: dict | None = None,
         row, sep, cell, tail = "[{}]", ",", _json_value, "]}\n"
     else:
         raise ValidationError(f"unknown output format '{fmt}'")
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+    np = sys.modules.get("numpy")  # rows can be an array only once numpy is loaded
+    if (np is not None and isinstance(rows, np.ndarray) and rows.ndim == 2
+            and rows.dtype.kind == "f"):
         bad = ~np.isfinite(rows)
         if bad.any():
             raise NumericalError(f"refusing to write the non-finite value {float(rows[bad][0])}")
@@ -559,9 +564,41 @@ def _resolve(args: argparse.Namespace) -> None:
         setattr(args, flag.attr, flag.convert(getattr(args, flag.attr)))
 
 
+def _out_path(args) -> Path:
+    """--out, by default <command>.<format>; magic.json for magic, which writes JSON."""
+    if args.out:
+        return Path(args.out)
+    return Path("magic.json" if args.command == "magic"
+                else f"{args.command.replace('-', '_')}.{args.format}")
+
+
+# the flag of each input a run reads from a file, by its attribute
+_INPUTS = {"ledger": "ledger", "config": "--config", "species": "--species"}
+
+
+def _check_paths(args) -> None:
+    """Refuse an output or its .meta.json sidecar that resolves to an input
+    file or to another output's path, before anything is read or written."""
+    taken = {}
+    for attr, flag in _INPUTS.items():
+        path = getattr(args, attr, None)
+        if path and os.path.isfile(path):  # a --species name may be bundled data
+            taken[os.path.realpath(path)] = f"the input {flag} {path}"
+    outputs = [("--out", _out_path(args))]
+    if getattr(args, "scan_out", None):
+        outputs.append(("--scan-out", args.scan_out))
+    for flag, path in outputs:
+        targets = [os.path.realpath(f"{path}{tail}") for tail in ("", ".meta.json")]
+        for target in targets:
+            if target in taken:
+                raise ValidationError(f"{flag} {path} overlaps {taken[target]}: no output or "
+                                      ".meta.json sidecar may replace an input or another output")
+        taken.update(dict.fromkeys(targets, f"{flag} {path}"))
+
+
 def _finish(args, argv, columns, rows, meta: dict, *summary: str) -> int:
-    """Emit the table to --out (default <command>.<format>), then print the summary."""
-    out = Path(args.out or f"{args.command.replace('-', '_')}.{args.format}")
+    """Emit the table to --out (see _out_path), then print the summary."""
+    out = _out_path(args)
     emit(columns, rows, args.format, out, meta=meta, argv=argv)
     for line in summary + (f"wrote {out}",):
         print(line)
@@ -578,6 +615,8 @@ SCAN_COLUMNS = ["lambda_nm", "alpha_au_state1", "alpha_au_state2", "delta_alpha_
 
 def _emit_scan(species, args, fmt: str, path: Path, argv) -> int:
     """The delta-alpha table of both polarizability and magic --scan-out."""
+    import numpy as np
+
     from .polarizability import scan_delta_alpha
     lams, a1, a2, d = scan_delta_alpha(species, args.state1, args.state2,
                                        args.lo, args.hi, args.points)
@@ -593,7 +632,7 @@ def _scan_meta(species, args) -> dict:
 
 def _run_polarizability(args, argv):
     species = _load(args.species, args.calibrated)
-    out = Path(args.out or f"polarizability.{args.format}")
+    out = _out_path(args)
     count = _emit_scan(species, args, args.format, out, argv)
     print(f"polarizability scan {args.state1}/{args.state2}: {count} points "
           f"over {args.lo*1e9:g}-{args.hi*1e9:g} nm -> {out}")
@@ -602,13 +641,7 @@ def _run_polarizability(args, argv):
 
 def _run_magic(args, argv):
     from .polarizability import find_magic
-    out = Path(args.out or "magic.json")
-    if args.scan_out:
-        targets = {os.path.realpath(f"{p}{tail}") for p in (args.scan_out, out)
-                   for tail in ("", ".meta.json")}
-        if len(targets) < 4:
-            raise ValidationError(f"--scan-out {args.scan_out} overlaps --out {out}: the scan "
-                                  "table, the magic JSON and their sidecars need 4 paths")
+    out = _out_path(args)
     species = _load(args.species, args.calibrated)
     found = find_magic(species, args.state1, args.state2, (args.lo, args.hi),
                        grid_points=args.points)
@@ -626,6 +659,8 @@ def _run_magic(args, argv):
 
 
 def _run_trap(args, argv):
+    if sum(v is not None for v in (args.depth_erec, args.power, args.intensity)) != 1:
+        raise ValidationError("give exactly one of --power, --intensity, or --depth-erec")
     from .fieldtrap import (FieldConfig, GaussianBeam, Lattice1D, intensity_at, recoil,
                             trap_parameters)
     from .polarizability import alpha_scalar, stark_shift
@@ -635,8 +670,6 @@ def _run_trap(args, argv):
         state = next(lv.label for lv in species.levels if lv.energy_hz == 0.0)
     geom = GaussianBeam(args.waist) if args.gaussian else Lattice1D(args.waist)
     alpha = alpha_scalar(species, state, lam)
-    if sum(v is not None for v in (args.depth_erec, args.power, args.intensity)) != 1:
-        raise ValidationError("give exactly one of --power, --intensity, or --depth-erec")
     if args.depth_erec is not None:
         depth_j = args.depth_erec * recoil(species.mass_kg, lam)[0]
     else:
@@ -660,9 +693,11 @@ def _run_trap(args, argv):
 
 
 def _run_clock_line(args, argv):
-    from .clockspec import NU0_OFFSET_HZ, quality_factor, rabi_lineshape
     if args.pi == (args.rabi is not None):
         raise ValidationError("give exactly one of --rabi or --pi")
+    import numpy as np
+
+    from .clockspec import NU0_OFFSET_HZ, quality_factor, rabi_lineshape
     duration = args.duration
     omega = math.pi / duration if args.pi else TWO_PI * args.rabi
     grid = np.linspace(-args.span, args.span, args.points)
@@ -693,6 +728,8 @@ def _run_zeeman(args, argv):
 
 
 def _run_sidebands(args, argv):
+    import numpy as np
+
     from .clockspec import nbar_from_asymmetry, sideband_spectrum
     span = args.span if args.span is not None else 1.6 * args.nu_z
     grid = np.linspace(-span, span, args.points)
@@ -731,9 +768,11 @@ def _cavity_system(args, delta_b: float = 0.0, delta_e: float = 0.0):
 
 
 def _run_cavity_spectrum(args, argv):
-    from .cavityqed import vacuum_rabi_spectrum
     if args.g2 and args.nmax < 3:  # g2(0) needs 3 Fock levels
         raise ValidationError(f"--nmax must be >= 3 with --g2, got '{args.nmax}'")
+    import numpy as np
+
+    from .cavityqed import vacuum_rabi_spectrum
     sys_ = _cavity_system(args, args.delta_b, args.delta_e)
     drive = TWO_PI * args.drive if args.drive is not None else 1e-3 * sys_.kappa
     lo = TWO_PI * args.lo if args.lo is not None else -2.0 * sys_.g0
@@ -802,6 +841,7 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(_attach_signed_values(argv))
         _resolve(args)
+        _check_paths(args)
         if args.verbose:
             print(f"# magictrap {__version__}: {args.command} " + " ".join(argv[1:]))
             from .atomdata import data_dir

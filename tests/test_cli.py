@@ -104,6 +104,18 @@ class TestEmit:
         emit(["x", "y"], np.empty((0, 2)), "json", tmp_path / "e.json")
         assert (tmp_path / "e.json").read_text().endswith('"columns":["x","y"],"rows":[]}\n')
 
+    @pytest.mark.parametrize("fmt, body", [
+        ("csv", "# magictrap v0.1.0\na,b,c,d\n9007199254740993,1,1152921504606846977,"
+                "0.10000000000000001\n"),
+        ("json", '{"meta":{"tool":"magictrap","version":"0.1.0"},"columns":["a","b","c","d"],'
+                 '"rows":[[9007199254740993,true,1152921504606846977,0.10000000000000001]]}\n'),
+    ])
+    def test_integer_cells_keep_their_digits(self, tmp_path, fmt, body):
+        # integers above 2**53 would lose their last digit through float
+        emit(["a", "b", "c", "d"], [[np.int64(2**53 + 1), True, 2**60 + 1, 0.1]], fmt,
+             tmp_path / f"t.{fmt}")
+        assert (tmp_path / f"t.{fmt}").read_bytes() == body.encode()
+
 
 def _serial(monkeypatch):
     """One usable CPU, and a fork that fails the test if the code tries it."""
@@ -520,6 +532,34 @@ def test_bad_values_exit_1_before_any_write(argv, tmp_path, monkeypatch, capsys)
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"magictrap: {argv[-2]}")  # names the offending flag
     assert list(tmp_path.iterdir()) == []
+
+
+LEDGER = "site,value_hz_minus_nu0,stat_hz,sys_hz\na,0.2,0.1,0.1\nb,0.4,0.1,0.1\n"
+CONFIG = "[cavity]\nkappa = 2e6hz\ngamma = 2e6hz\n"
+BLOCKADE = ["blockade", "--g0", "20e6hz", "--nmax", "4"]
+TRAP = ["trap", "--lattice-lambda", "813.428nm", "--waist", "30um", "--depth-erec", "50"]
+
+
+@pytest.mark.parametrize("name, text, argv, flag", [
+    ("ledger.csv", LEDGER, ["aggregate", "ledger.csv", "--out", "ledger.csv"], "ledger"),
+    ("aggregate.csv", LEDGER, ["aggregate", "aggregate.csv"], "ledger"),  # the default --out
+    ("run.ini", CONFIG, [*BLOCKADE, "--config", "run.ini", "--out", "run.ini"], "--config"),
+    ("run.ini.meta.json", CONFIG, [*BLOCKADE, "--config", "run.ini.meta.json", "--out",
+                                   "sub/../run.ini"], "--config"),  # the output's sidecar
+    ("sr87.lines", None, [*TRAP, "--species", "./sr87.lines", "--out", "sr87.lines"],
+     "--species"),
+], ids=["ledger", "ledger-default-out", "config", "config-sidecar", "species"])
+def test_output_onto_an_input_exits_1_and_keeps_it(name, text, argv, flag, tmp_path,
+                                                   monkeypatch, capsys):
+    data = text.encode() if text is not None else resolve_species("sr87").read_bytes()
+    (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("magictrap: --out ")
+    assert f"overlaps the input {flag} " in err
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert (tmp_path / name).read_bytes() == data
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")

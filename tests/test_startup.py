@@ -1,7 +1,8 @@
 """Start-up cost: no subcommand imports scipy, which only the tests use as
 an oracle, and no command loads a worker pool (``concurrent.*`` or
 ``multiprocessing``), also when a large table is formatted across CPUs.
-Each subcommand imports only the physics modules it runs, and the parser
+Each subcommand imports only the physics modules it runs, and numpy only
+with them, so version, help and usage errors never load it. The parser
 gives flags only to the subcommand being run, so help must still show them.
 
 Each check runs in a fresh interpreter, so modules imported by other tests
@@ -106,6 +107,7 @@ import json, sys
 import magictrap.cli
 code = magictrap.cli.run(sys.argv[1:])
 print(json.dumps({"code": code, "configparser": "configparser" in sys.modules,
+                  "numpy": "numpy" in sys.modules,
                   "modules": sorted(m.split(".")[1] for m in sys.modules
                                     if m.startswith("magictrap.")
                                     and m not in ("magictrap.cli", "magictrap.errors"))}))
@@ -132,23 +134,50 @@ LOADS = [
 ]
 
 
-@pytest.mark.parametrize("argv, modules", LOADS, ids=[argv[0] for argv, _ in LOADS])
-def test_each_command_loads_only_its_own_modules(argv, modules, tmp_path):
-    proc = subprocess.run([sys.executable, "-c", MODULES_SCRIPT, *argv], cwd=tmp_path,
+def run_modules(argv, cwd):
+    proc = subprocess.run([sys.executable, "-c", MODULES_SCRIPT, *argv], cwd=cwd,
                           env=ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"code": 0, "configparser": False, "modules": modules}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, modules", LOADS, ids=[argv[0] for argv, _ in LOADS])
+def test_each_command_loads_only_its_own_modules(argv, modules, tmp_path):
+    # numpy comes with the physics modules, and only with them
+    assert run_modules(argv, tmp_path) == {"code": 0, "configparser": False,
+                                           "numpy": bool(modules), "modules": modules}
+
+
+# argv that ends before any runner computes: help, and each usage error
+# found from argv alone, also those a runner checks before its imports
+ARGV_ONLY = [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["magic", "--help"], 0),
+    (["magic", *SCAN, "--bogus"], 1),
+    (["magic", *SCAN[:7], "700", *SCAN[8:]], 1),  # --from without its unit suffix
+    (["ladder", "--g0", "1e6hz", "--n", "2", "--config", "missing.ini"], 1),
+    (["trap", "--species", "sr87", "--lattice-lambda", "813.428nm", "--waist", "30um"], 1),
+    (["clock-line", "--duration", "0.5s"], 1),
+    (["cavity-spectrum", *CAVITY, "--nmax", "2", "--g2"], 1),
+    (["magic", *SCAN, "--scan-out", "magic.json"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", ARGV_ONLY, ids=[
+    "version", "help", "magic-help", "unknown-flag", "no-unit", "missing-config",
+    "trap-depth-source", "clock-line-rabi-or-pi", "cavity-g2-nmax", "magic-scan-out"])
+def test_argv_only_paths_do_not_load_numpy(argv, code, tmp_path):
+    result = run_modules(argv, tmp_path)
+    assert (result["code"], result["numpy"], result["modules"]) == (code, False, [])
 
 
 def test_configparser_loads_only_with_config(tmp_path):
     (tmp_path / "run.ini").write_text("[cavity]\nkappa = 2e6hz\ngamma = 2e6hz\n")
-    proc = subprocess.run([sys.executable, "-c", MODULES_SCRIPT, "ladder", "--g0", "1e6hz",
-                           "--n", "2", "--config", "run.ini"], cwd=tmp_path, env=ENV,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"code": 0, "configparser": True, "modules": ["cavityqed", "constants"]}
+    result = run_modules(["ladder", "--g0", "1e6hz", "--n", "2", "--config", "run.ini"],
+                         tmp_path)
+    assert result == {"code": 0, "configparser": True, "numpy": True,
+                      "modules": ["cavityqed", "constants"]}
 
 
 def _help(argv, capsys):

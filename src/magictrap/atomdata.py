@@ -17,10 +17,10 @@ applied only when the loader is asked to (see ``load_species``).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import data_dir
 from .constants import DIPOLE_AU, GAMMA_PREFACTOR, SPEED_OF_LIGHT
 from .errors import CatalogError, ValidationError
 
@@ -139,17 +139,6 @@ def _parse_float(token: str, where: str) -> float:
         return float(token)
     except ValueError:
         raise CatalogError(f"{where}: '{token}' is not a number") from None
-
-
-def data_dir() -> Path:
-    """Directory holding the bundled species files.
-
-    The MAGICTRAP_DATA environment variable overrides the packaged data.
-    """
-    override = os.environ.get("MAGICTRAP_DATA")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
 
 
 def bundled_species_path(stem: str) -> Path:

@@ -27,11 +27,10 @@ import numbers
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import __version__
+from . import __version__, data_dir
 from .errors import NumericalError, ValidationError
 
 if TYPE_CHECKING:
@@ -74,8 +73,7 @@ def parse_quantity(text: str, dimension: str) -> float:
         f"{', '.join(sorted(table))})")
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """One flag: its argparse form, config key, conversion and checks.
 
     ``kind`` is a UNITS dimension (converted to SI) or one of "int",
@@ -196,7 +194,7 @@ COMMANDS = {
         *_scan_flags("search", _points(2000, "scan grid points")),
         Flag("--scan-out", "str", "also write the delta-alpha scan table (CSV) to this path"))),
     "trap": Command("trap depth, frequencies, Lamb-Dicke parameter", "trap", (
-        replace(SPECIES, help="species file or bundled name"),
+        SPECIES._replace(help="species file or bundled name"),
         Flag("--state", "str", "level label (default: ground level)"),
         Flag("--lattice-lambda", "length", "trap light wavelength (length, e.g. 813.428nm)",
              dest="lam", required=True),
@@ -250,20 +248,22 @@ COMMANDS = {
         Flag("--g2", "bool", "also compute g2(0) per point"),
         JOBS)),
     "blockade": Command("photon blockade g2(0) at the canonical probe points", "cavity", (
-        G0, replace(KAPPA, help="cavity HWHM decay (frequency)"),
-        replace(GAMMA, help="atomic HWHM decay (frequency)"), _nmax(8, low=3),  # g2_zero needs 3
+        G0, KAPPA._replace(help="cavity HWHM decay (frequency)"),
+        GAMMA._replace(help="atomic HWHM decay (frequency)"), _nmax(8, low=3),  # g2_zero needs 3
         Flag("--drive", "frequency", "cavity drive amplitude (frequency; default 0.1 x kappa)"))),
     "ladder": Command("Jaynes-Cummings manifold eigenvalues", "cavity", (
-        replace(G0, help="coupling g0 (frequency, e.g. 1e6hz)"),
+        G0._replace(help="coupling g0 (frequency, e.g. 1e6hz)"),
         Flag("--n", "int", "manifold quanta n >= 1 (dimensionless)", required=True),
         *FORT_SHIFTS)),
 }
 
 
-# rows of a float table formatted by one '%' operation in emit
-_BLOCK_ROWS = 1024
+# rows of a float table formatted by one floattext.table_text call in emit:
+# on 2 cores 2048-row blocks took 153 ns a number, 1024 and 4096-row ones
+# 176-180 ns
+_BLOCK_ROWS = 2048
 # fewest rows in each part of a float table split across CPUs. On 2 shared
-# cores a split broke even at 4096-row parts; 4x that keeps a gain when the
+# cores a split broke even at 16384-row parts; 2x that keeps a gain when the
 # other core is busy.
 _FORK_ROWS = 16 * _BLOCK_ROWS
 
@@ -300,16 +300,18 @@ def _meta(meta: dict | None) -> tuple[dict, str]:
     return meta, ",".join(f"{json.dumps(k)}:{_json_value(v)}" for k, v in sorted(meta.items()))
 
 
-def _block_text(block: np.ndarray, template: str, sep: str) -> str:
-    """Rows of floats, formatted by one '%' operation and joined by sep."""
-    return sep.join([template] * len(block)) % tuple(block.ravel().tolist())
+def _block_text(block: np.ndarray, row: str, sep: str) -> str:
+    """Rows of floats, each row.format(its '%.17g' cells joined by ','),
+    joined by sep (see floattext)."""
+    from .floattext import table_text
+    return table_text(block, row, sep)
 
 
-def _blocks(rows: np.ndarray, template: str, sep: str, start: int, stop: int):
+def _blocks(rows: np.ndarray, row: str, sep: str, start: int, stop: int):
     """The text of rows[start:stop], _BLOCK_ROWS rows at a time, each block
     but the table's first with its leading separator."""
     for i in range(start, stop, _BLOCK_ROWS):
-        yield (sep if i else "") + _block_text(rows[i:min(i + _BLOCK_ROWS, stop)], template, sep)
+        yield (sep if i else "") + _block_text(rows[i:min(i + _BLOCK_ROWS, stop)], row, sep)
 
 
 def _usable_cpus() -> int:
@@ -319,7 +321,7 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _format_part(spool, rows: np.ndarray, template: str, sep: str, start: int,
+def _format_part(spool, rows: np.ndarray, row: str, sep: str, start: int,
                  stop: int) -> None:
     """In a forked child: write rows[start:stop] to spool, then exit.
 
@@ -329,14 +331,14 @@ def _format_part(spool, rows: np.ndarray, template: str, sep: str, start: int,
     """
     code = 1
     try:
-        spool.writelines(_blocks(rows, template, sep, start, stop))
+        spool.writelines(_blocks(rows, row, sep, start, stop))
         spool.flush()
         code = 0
     finally:
         os._exit(code)
 
 
-def _float_table(rows: np.ndarray, template: str, sep: str):
+def _float_table(rows: np.ndarray, row: str, sep: str):
     """The text of a float table, formatted on every usable CPU when large.
 
     The rows are cut on block boundaries into one contiguous part per
@@ -351,7 +353,7 @@ def _float_table(rows: np.ndarray, template: str, sep: str):
     blocks = -(-count // _BLOCK_ROWS)
     parts = min(_usable_cpus(), count // _FORK_ROWS, blocks)
     if parts < 2:
-        yield from _blocks(rows, template, sep, 0, count)
+        yield from _blocks(rows, row, sep, 0, count)
         return
     import tempfile
     cuts = [blocks * j // parts * _BLOCK_ROWS for j in range(parts)] + [count]
@@ -361,9 +363,9 @@ def _float_table(rows: np.ndarray, template: str, sep: str):
             spools.append(tempfile.TemporaryFile("w+", encoding="utf-8"))
             pid = os.fork()
             if pid == 0:
-                _format_part(spools[-1], rows, template, sep, start, stop)
+                _format_part(spools[-1], rows, row, sep, start, stop)
             pending.append(pid)
-        yield from _blocks(rows, template, sep, 0, cuts[1])
+        yield from _blocks(rows, row, sep, 0, cuts[1])
         for spool, start, stop in zip(spools, cuts[1:], cuts[2:]):
             status = os.waitpid(pending[0], 0)[1]
             pid = pending.pop(0)
@@ -428,9 +430,9 @@ def emit(columns, rows, fmt: str, path: Path, meta: dict | None = None,
     non-finite number raises NumericalError and leaves no file behind.
 
     ``rows`` is a sequence of rows, or a 2-D float array, which is written
-    ``_BLOCK_ROWS`` rows per '%' format with the same bytes ('%.17g' and
-    f'{x:.17g}' share one float-to-string routine); a float array of at
-    least 2 x ``_FORK_ROWS`` rows is formatted on every usable CPU (see
+    ``_BLOCK_ROWS`` rows at a time by ``floattext.table_text`` with the
+    bytes of the per-cell path; a float array of at least 2 x
+    ``_FORK_ROWS`` rows is formatted on every usable CPU (see
     ``_float_table``).
     """
     meta, meta_text = _meta(meta)
@@ -449,7 +451,7 @@ def emit(columns, rows, fmt: str, path: Path, meta: dict | None = None,
         bad = ~np.isfinite(rows)
         if bad.any():
             raise NumericalError(f"refusing to write the non-finite value {float(rows[bad][0])}")
-        body = _float_table(rows, row.format(",".join(["%.17g"] * rows.shape[1])), sep)
+        body = _float_table(rows, row, sep)
     else:
         body = ((sep if i else "") + row.format(",".join(map(cell, r)))
                 for i, r in enumerate(rows))
@@ -473,7 +475,6 @@ def emit_magic_points(points, path: Path, meta: dict | None = None,
 
 def resolve_species(name: str) -> Path:
     """Literal path first, then the bundled data directory."""
-    from .atomdata import data_dir
     p = Path(name)
     if p.exists():
         return p
@@ -578,12 +579,14 @@ _INPUTS = {"ledger": "ledger", "config": "--config", "species": "--species"}
 
 def _check_paths(args) -> None:
     """Refuse an output or its .meta.json sidecar that resolves to an input
-    file or to another output's path, before anything is read or written."""
+    file or to another output's path, before anything is read or written.
+    A --species name counts as the file resolve_species finds for it."""
     taken = {}
     for attr, flag in _INPUTS.items():
-        path = getattr(args, attr, None)
-        if path and os.path.isfile(path):  # a --species name may be bundled data
-            taken[os.path.realpath(path)] = f"the input {flag} {path}"
+        name = getattr(args, attr, None)
+        path = resolve_species(name) if name and attr == "species" else name
+        if path and os.path.isfile(path):
+            taken[os.path.realpath(path)] = f"the input {flag} {name}"
     outputs = [("--out", _out_path(args))]
     if getattr(args, "scan_out", None):
         outputs.append(("--scan-out", args.scan_out))
@@ -844,7 +847,6 @@ def run(argv: list[str]) -> int:
         _check_paths(args)
         if args.verbose:
             print(f"# magictrap {__version__}: {args.command} " + " ".join(argv[1:]))
-            from .atomdata import data_dir
             print(f"# data dir: {data_dir()}")
         return _RUNNERS[args.command](args, argv)
     except SystemExit as exc:  # argparse --help/--version

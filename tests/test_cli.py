@@ -45,6 +45,57 @@ class TestQuantities:
             parse_quantity("5kg", "length")
 
 
+def _ulps_around(x: float, count: int) -> list[float]:
+    """x and the count doubles on each side of it."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+def _exact_ties() -> list[float]:
+    """Doubles whose 18th significant digit is an exact 5 (x 10^j is an odd
+    multiple of 1/2, j = 16 - X), a few per decade where any exist."""
+    ties = []
+    for x in range(-11, 15):
+        j = 16 - x
+        low = -(-2 * 10**16 // 5**j) | 1  # odd t with t 5^j / 2 of 17 digits
+        for t in range(low, min(low + 40, 2 * 10**17 // 5**j, 2**53), 2):
+            ties += [math.ldexp(t, -j - 1), -math.ldexp(t, -j - 1)]
+    return ties
+
+
+def _random_bits(rng, count: int, exponents: tuple[int, int] = (0, 2047)) -> np.ndarray:
+    """Doubles from random bit patterns whose biased exponent field lies in
+    [exponents[0], exponents[1]); 2047 (inf and nan) is never drawn."""
+    sign_and_mantissa = rng.integers(0, 2**64, count, dtype=np.uint64, endpoint=False)
+    sign_and_mantissa &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+    exponent = rng.integers(*exponents, count).astype(np.uint64) << np.uint64(52)
+    return (sign_and_mantissa | exponent).view(np.float64)
+
+
+# doubles aimed at floattext's exact-digit kernel (1e-11 < |x| < 1e15) and at
+# its edges, by family
+KERNEL_DOUBLES = {
+    "powers-of-ten": lambda: np.array(
+        [v for k in range(-12, 17) for x in (10.0**k, -10.0**k) for v in _ulps_around(x, 6)]),
+    "random-bits": lambda: np.concatenate((
+        _random_bits(np.random.default_rng(151), 2000),
+        _random_bits(np.random.default_rng(152), 4000, (986, 1073)))),  # 2^-37 ... 2^50
+    "decades": lambda: np.concatenate([
+        sign * np.random.default_rng(153 + d).uniform(1.0, 10.0, 100) * 10.0**d
+        for d in range(-11, 15) for sign in (1, -1)]),
+    "ties": lambda: np.array(_exact_ties() + [
+        float(f"{sign}{digits}5e{x - 17}") for x in range(-11, 15) for sign in "+-"
+        for digits in np.random.default_rng(154 + x).integers(10**16, 10**17, 20).tolist()]),
+    "range-edges": lambda: np.array([
+        v for x in (1e-11, 1e15, 1e-4, 1e-5, 1e16, 1e17, 2.2250738585072014e-308, 5e-324)
+        for s in (1, -1) for v in _ulps_around(s * x, 4)]
+        + [0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308]),
+}
+
+
 class TestEmit:
     def test_csv_header_and_digits(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -96,6 +147,17 @@ class TestEmit:
         assert len(table) == cli._BLOCK_ROWS + 1
         emit(["x", "y", "z"], table, fmt, tmp_path / f"array.{fmt}", meta={"k": 1})
         emit(["x", "y", "z"], table.tolist(), fmt, tmp_path / f"cells.{fmt}", meta={"k": 1})
+        assert (tmp_path / f"array.{fmt}").read_bytes() == (tmp_path / f"cells.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize("columns", [2, 4])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("family", sorted(KERNEL_DOUBLES))
+    def test_kernel_writes_the_bytes_of_the_per_cell_path(self, tmp_path, family, fmt, columns):
+        values = KERNEL_DOUBLES[family]()
+        table = values[:len(values) // columns * columns].reshape(-1, columns)
+        names = [f"c{j}" for j in range(columns)]
+        emit(names, table, fmt, tmp_path / f"array.{fmt}")
+        emit(names, table.tolist(), fmt, tmp_path / f"cells.{fmt}")
         assert (tmp_path / f"array.{fmt}").read_bytes() == (tmp_path / f"cells.{fmt}").read_bytes()
 
     def test_empty_float_array(self, tmp_path):
@@ -560,6 +622,20 @@ def test_output_onto_an_input_exits_1_and_keeps_it(name, text, argv, flag, tmp_p
     assert f"overlaps the input {flag} " in err
     assert [p.name for p in tmp_path.iterdir()] == [name]
     assert (tmp_path / name).read_bytes() == data
+
+
+def test_output_onto_a_bundled_species_exits_1_and_keeps_it(tmp_path, monkeypatch, capsys):
+    # a --species name is an input too: the catalog resolve_species finds for it
+    data = resolve_species("sr87").read_bytes()
+    catalog = tmp_path / "sr87.lines"
+    catalog.write_bytes(data)
+    monkeypatch.setenv("MAGICTRAP_DATA", str(tmp_path))
+    assert run([*TRAP, "--species", "sr87", "--out", str(catalog)]) == 1
+    assert capsys.readouterr().err == (
+        f"magictrap: --out {catalog} overlaps the input --species sr87: no output or "
+        ".meta.json sidecar may replace an input or another output\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["sr87.lines"]
+    assert catalog.read_bytes() == data
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")

@@ -107,7 +107,8 @@ import json, sys
 import magictrap.cli
 code = magictrap.cli.run(sys.argv[1:])
 print(json.dumps({"code": code, "configparser": "configparser" in sys.modules,
-                  "numpy": "numpy" in sys.modules,
+                  "numpy": "numpy" in sys.modules, "dataclasses": "dataclasses" in sys.modules,
+                  "inspect": "inspect" in sys.modules,
                   "modules": sorted(m.split(".")[1] for m in sys.modules
                                     if m.startswith("magictrap.")
                                     and m not in ("magictrap.cli", "magictrap.errors"))}))
@@ -118,14 +119,14 @@ CAVITY = ["--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz"]
 ATOM = ["angular", "atomdata", "constants", "fieldtrap", "polarizability"]
 LOADS = [
     (["--version"], []),
-    (["polarizability", *SCAN], ATOM),
+    (["polarizability", *SCAN], sorted([*ATOM, "floattext"])),  # a float-array table
     (["magic", *SCAN], ATOM),
     (["trap", "--species", "sr87", "--lattice-lambda", "813.428nm", "--waist", "30um",
       "--depth-erec", "50"], ATOM),
-    (["clock-line", "--duration", "0.5s", "--pi"], ["clockspec"]),
+    (["clock-line", "--duration", "0.5s", "--pi"], ["clockspec", "floattext"]),
     (["zeeman", "--dg", "108.4hz", "--field", "1e-4t"], ["clockspec"]),
     (["sidebands", "--eta", "0.31", "--nu-z", "49khz", "--nbar", "1", "--width", "3khz",
-      "--points", "11"], ["clockspec"]),
+      "--points", "11"], ["clockspec", "floattext"]),
     (["aggregate", str(data_dir() / "sr87_measurements.csv")], ["clockspec"]),
     (["cavity-spectrum", *CAVITY, "--nmax", "3", "--points", "5", "--g2"],
      ["cavityqed", "constants"]),
@@ -143,9 +144,12 @@ def run_modules(argv, cwd):
 
 @pytest.mark.parametrize("argv, modules", LOADS, ids=[argv[0] for argv, _ in LOADS])
 def test_each_command_loads_only_its_own_modules(argv, modules, tmp_path):
-    # numpy comes with the physics modules, and only with them
-    assert run_modules(argv, tmp_path) == {"code": 0, "configparser": False,
-                                           "numpy": bool(modules), "modules": modules}
+    # numpy and dataclasses (with inspect) come with the physics modules,
+    # and only with them
+    physics = bool(modules)
+    assert run_modules(argv, tmp_path) == {"code": 0, "configparser": False, "numpy": physics,
+                                           "dataclasses": physics, "inspect": physics,
+                                           "modules": modules}
 
 
 # argv that ends before any runner computes: help, and each usage error
@@ -170,14 +174,15 @@ ARGV_ONLY = [
 def test_argv_only_paths_do_not_load_numpy(argv, code, tmp_path):
     result = run_modules(argv, tmp_path)
     assert (result["code"], result["numpy"], result["modules"]) == (code, False, [])
+    assert not (result["dataclasses"] or result["inspect"])
 
 
 def test_configparser_loads_only_with_config(tmp_path):
     (tmp_path / "run.ini").write_text("[cavity]\nkappa = 2e6hz\ngamma = 2e6hz\n")
     result = run_modules(["ladder", "--g0", "1e6hz", "--n", "2", "--config", "run.ini"],
                          tmp_path)
-    assert result == {"code": 0, "configparser": True, "numpy": True,
-                      "modules": ["cavityqed", "constants"]}
+    assert result == {"code": 0, "configparser": True, "numpy": True, "dataclasses": True,
+                      "inspect": True, "modules": ["cavityqed", "constants"]}
 
 
 def _help(argv, capsys):

@@ -3,7 +3,8 @@
 Each finite double x = M 2^E (M a 53-bit integer) with decimal exponent
 X = floor(log10|x|) in [-11, 14] gets its 17 significant digits exactly:
 D = round-half-even(M 5^k 2^(E+k)) with k = 16 - X, where 5^k fits 64
-bits, so D is one 128-bit product of 64-bit halves and one right shift
+bits, so D is one 128-bit product, built from 32-bit pieces in uint64
+arithmetic and held as two 64-bit halves, and one right shift
 (fixed-precision digits from integer products, as in Adams, "Ryu revisited:
 printf floating point conversion", OOPSLA 2019). X comes from log10 and is
 corrected by one where the truncated product falls outside [1e16, 1e17).

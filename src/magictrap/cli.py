@@ -300,18 +300,12 @@ def _meta(meta: dict | None) -> tuple[dict, str]:
     return meta, ",".join(f"{json.dumps(k)}:{_json_value(v)}" for k, v in sorted(meta.items()))
 
 
-def _block_text(block: np.ndarray, row: str, sep: str) -> str:
-    """Rows of floats, each row.format(its '%.17g' cells joined by ','),
-    joined by sep (see floattext)."""
-    from .floattext import table_text
-    return table_text(block, row, sep)
-
-
 def _blocks(rows: np.ndarray, row: str, sep: str, start: int, stop: int):
     """The text of rows[start:stop], _BLOCK_ROWS rows at a time, each block
     but the table's first with its leading separator."""
+    from .floattext import table_text
     for i in range(start, stop, _BLOCK_ROWS):
-        yield (sep if i else "") + _block_text(rows[i:min(i + _BLOCK_ROWS, stop)], row, sep)
+        yield (sep if i else "") + table_text(rows[i:min(i + _BLOCK_ROWS, stop)], row, sep)
 
 
 def _usable_cpus() -> int:

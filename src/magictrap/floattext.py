@@ -19,8 +19,9 @@ words in a zero-padded matrix, with fixed places for the sign, a '0.000'
 prefix, the 17 digits each followed by a slot for the '.', the exponent
 and the separator; cells a number does not use stay 0, and one
 bytes.translate pass removes them. Every other value (0, -0, subnormals,
-|x| <= 1e-11, |x| >= 1e15; the double 1e-11 lies just below 10^-11) is
-formatted by '%.17g' one at a time and put in its row's cells.
+|x| <= 1e-11, |x| >= 1e15; the double 1e-11 lies just below 10^-11) skips
+the kernel: one '%' operation formats them all, each padded to its row's
+cells.
 """
 
 from __future__ import annotations
@@ -35,9 +36,12 @@ _XMIN, _XMAX = -11, 14
 # '.' after digit p (0 for the first) goes in byte 7 + 2p.
 _WORDS, _CELLS = 6, 44  # a number's own text fits its first 44 bytes
 
-_U1, _U32, _U64 = np.uint64(1), np.uint64(32), np.uint64(64)
+# Every operand mixed with a uint64 array is itself uint64: numpy before 2.0
+# turns uint64 with a Python or int64 scalar into float64.
+_U0, _U1, _U32, _U64 = (np.uint64(n) for n in (0, 1, 32, 64))
 _LOW32 = np.uint64(0xFFFFFFFF)
 _E16, _E17 = 10**16, 10**17
+_Q16, _Q17 = np.uint64(_E16), np.uint64(_E17)
 
 
 def _words(cells: np.ndarray) -> np.ndarray:
@@ -76,6 +80,7 @@ _HEAD, _TAIL, _LEAD, _GROUP, _ZEROS, _SHOWN = _tables()
 _MINUS = _words(np.frombuffer(b"-" + bytes(7), np.uint8))[0]
 _POW5 = np.array([5**(16 - x) for x in range(_XMIN, _XMAX + 1)], np.uint64)
 _POW5_LO, _POW5_HI = _POW5 & _LOW32, _POW5 >> _U32
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 
 
 def _scaled(m: np.ndarray, shift: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,26 +109,17 @@ def _digits(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.clip(np.floor(np.log10(mag)), _XMIN, _XMAX).astype(np.int64)
     # mag = m 2^(exponent - 1075) and 10^(16 - x) = 5^(16 - x) 2^(16 - x)
     q, d = _scaled(m, (x + 1059 - exponent).view(np.uint64), x)
-    off = np.flatnonzero((q < _E16) | (q >= _E17))  # log10 is off by one near 10^X
+    off = np.flatnonzero((q < _Q16) | (q >= _Q17))  # log10 is off by one near 10^X
     if off.size:
-        x[off] += np.where(q[off] < _E16, -1, 1)
+        x[off] += np.where(q[off] < _Q16, -1, 1)
         d[off] = _scaled(m[off], (x[off] + 1059 - exponent[off]).view(np.uint64), x[off])[1]
     return d.view(np.int64), x
 
 
-def table_text(rows: np.ndarray, row: str, sep: str) -> str:
-    """Rows of floats as row.format(cells joined by ','), joined by sep,
-    each cell '%.17g' % value: the text of that format, computed in numpy.
-    ``row`` holds one '{}'."""
-    head, tail = row.split("{}")
-    count, columns = rows.shape
-    ends = np.zeros((columns, 8), np.uint8)  # ',' after a cell, tail + sep + head after a row
-    for j, text in enumerate([b","] * (columns - 1) + [(tail + sep + head).encode()]):
-        ends[j, 4:4 + len(text)] = np.frombuffer(text, np.uint8)
-    values = np.asarray(rows, np.float64).ravel()
-    mag = np.abs(values)
-    fast = (mag > _LOW) & (mag < _HIGH)
-    d, x = _digits(np.where(fast, mag, 1.0))
+def _number_words(values: np.ndarray) -> np.ndarray:
+    """The '%.17g' text of each double with _LOW < |x| < _HIGH as a row of
+    _WORDS words, the separator bytes of its last word left 0."""
+    d, x = _digits(np.abs(values))
     lead = d // _E16
     rest = d - lead * _E16
     high = rest // 10**8
@@ -144,19 +140,39 @@ def table_text(rows: np.ndarray, row: str, sep: str) -> str:
 
     row_x = x - _XMIN
     words = np.empty((values.size, _WORDS), np.uint64)
-    words[:, 0] = _HEAD[row_x] | _LEAD[lead] | np.where(np.signbit(values), _MINUS, 0)
+    words[:, 0] = _HEAD[row_x] | _LEAD[lead] | np.where(np.signbit(values), _MINUS, _U0)
     words[:, 1:5] = _GROUP[groups]
     short = np.flatnonzero(shown < 17)
     words[short, 1:5] &= _SHOWN[shown[short]]
-    words[:, 5] = (_TAIL[row_x].reshape(count, columns) | _words(ends).ravel()).ravel()
-    cells = words.view(np.uint8)
+    words[:, 5] = _TAIL[row_x]
     point = np.where(fixed, x, 0)  # the digit the '.' follows
     dotted = np.flatnonzero((fixed | (x < -4)) & (significant > point + 1))
-    cells.reshape(-1)[dotted * 8 * _WORDS + 7 + 2 * point[dotted]] = ord(".")
+    words.view(np.uint8).reshape(-1)[dotted * 8 * _WORDS + 7 + 2 * point[dotted]] = ord(".")
+    return words
+
+
+def table_text(rows: np.ndarray, row: str, sep: str) -> str:
+    """Rows of floats as row.format(cells joined by ','), joined by sep,
+    each cell '%.17g' % value: the text of that format, computed in numpy.
+    ``row`` holds one '{}'."""
+    head, tail = row.split("{}")
+    count, columns = rows.shape
+    ends = np.zeros((columns, 8), np.uint8)  # ',' after a cell, tail + sep + head after a row
+    for j, text in enumerate([b","] * (columns - 1) + [(tail + sep + head).encode()]):
+        ends[j, 4:4 + len(text)] = np.frombuffer(text, np.uint8)
+    values = np.asarray(rows, np.float64).ravel()
+    mag = np.abs(values)
+    fast = (mag > _LOW) & (mag < _HIGH)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = b"".join(("%.17g" % v).encode().ljust(_CELLS, b"\0")
-                        for v in values[slow].tolist())
-        cells[slow, :_CELLS] = np.frombuffer(text, np.uint8).reshape(-1, _CELLS)
-    text = cells.tobytes().translate(None, b"\0").decode("ascii")
+        words = np.zeros((values.size, _WORDS), np.uint64)
+        words[fast] = _number_words(values[fast])
+        # one '%' operation pads each number with spaces to _CELLS bytes
+        text = ("%-44.17g" * slow.size) % tuple(values[slow].tolist())
+        words.view(np.uint8)[slow, :_CELLS] = np.frombuffer(
+            text.encode().translate(_SPACE_TO_NUL), np.uint8).reshape(-1, _CELLS)
+    else:
+        words = _number_words(values)
+    words.reshape(count, columns, _WORDS)[:, :, 5] |= _words(ends).ravel()
+    text = words.tobytes().translate(None, b"\0").decode("ascii")
     return head + text[:len(text) - len(sep + head)]

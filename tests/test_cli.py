@@ -13,6 +13,7 @@ import pytest
 import magictrap.cavityqed as cavityqed
 import magictrap.cli as cli
 import magictrap.clockspec as clockspec
+import magictrap.floattext as floattext
 from magictrap.atomdata import load_species
 from magictrap.cli import emit, parse_quantity, resolve_species, run
 from magictrap.errors import NumericalError, ValidationError
@@ -75,8 +76,8 @@ def _random_bits(rng, count: int, exponents: tuple[int, int] = (0, 2047)) -> np.
     return (sign_and_mantissa | exponent).view(np.float64)
 
 
-# doubles aimed at floattext's exact-digit kernel (1e-11 < |x| < 1e15) and at
-# its edges, by family
+# doubles aimed at floattext's exact-digit kernel (1e-11 < |x| < 1e15), at
+# its edges and at the numbers it leaves to '%', by family
 KERNEL_DOUBLES = {
     "powers-of-ten": lambda: np.array(
         [v for k in range(-12, 17) for x in (10.0**k, -10.0**k) for v in _ulps_around(x, 6)]),
@@ -93,6 +94,11 @@ KERNEL_DOUBLES = {
         v for x in (1e-11, 1e15, 1e-4, 1e-5, 1e16, 1e17, 2.2250738585072014e-308, 5e-324)
         for s in (1, -1) for v in _ulps_around(s * x, 4)]
         + [0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308]),
+    "outside-only": lambda: np.concatenate([  # a table the kernel takes no number of
+        sign * np.random.default_rng(155 + i).uniform(1.0, 10.0, 50) * 10.0**d
+        for i, d in enumerate((-320, -300, -100, -20, -12, 15, 16, 20, 100, 300))
+        for sign in (1, -1)]
+        + [np.array([0.0, -0.0])]),
 }
 
 
@@ -243,15 +249,15 @@ class TestSplitEmit:
         out = tmp_path / "t.csv"
         emit(["a"], [[1.0]], "csv", out)
         before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
-        parent, block_text = os.getpid(), cli._block_text
+        parent, table_text = os.getpid(), floattext.table_text
 
         def fails_in_a_child(*args):
             if os.getpid() != parent:
                 fail()
-            return block_text(*args)
+            return table_text(*args)
 
         self.split(monkeypatch, 3, 8, 16)
-        monkeypatch.setattr(cli, "_block_text", fails_in_a_child)
+        monkeypatch.setattr(floattext, "table_text", fails_in_a_child)
         with pytest.raises(NumericalError, match=rf"formatting rows 32-63 failed .*\({why}\)$"):
             emit(["x", "y", "z"], self.table(100), "csv", out)
         assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
@@ -262,14 +268,14 @@ class TestSplitEmit:
 
     def test_children_are_reaped_when_the_parent_fails(self, tmp_path, monkeypatch):
         forks = self.split(monkeypatch, 3, 8, 16)
-        parent, block_text = os.getpid(), cli._block_text
+        parent, table_text = os.getpid(), floattext.table_text
 
         def fails_in_the_parent(*args):
             if os.getpid() == parent:
                 raise RuntimeError("parent failure")
-            return block_text(*args)
+            return table_text(*args)
 
-        monkeypatch.setattr(cli, "_block_text", fails_in_the_parent)
+        monkeypatch.setattr(floattext, "table_text", fails_in_the_parent)
         with pytest.raises(RuntimeError, match="parent failure"):
             emit(["x", "y", "z"], self.table(100), "json", tmp_path / "t.json")
         assert len(forks) == 2 and list(tmp_path.iterdir()) == []

@@ -168,7 +168,7 @@ def table_text(rows: np.ndarray, row: str, sep: str) -> str:
         words = np.zeros((values.size, _WORDS), np.uint64)
         words[fast] = _number_words(values[fast])
         # one '%' operation pads each number with spaces to _CELLS bytes
-        text = ("%-44.17g" * slow.size) % tuple(values[slow].tolist())
+        text = (f"%-{_CELLS}.17g" * slow.size) % tuple(values[slow].tolist())
         words.view(np.uint8)[slow, :_CELLS] = np.frombuffer(
             text.encode().translate(_SPACE_TO_NUL), np.uint8).reshape(-1, _CELLS)
     else:

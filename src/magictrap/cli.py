@@ -106,6 +106,8 @@ class Flag(NamedTuple):
                 raise ValidationError(f"missing required {self.name} (flag or config entry)")
             return self.default
         if self.kind in ("str", "bool"):
+            if raw == "":  # names no file or level; an empty --out is not the default
+                raise ValidationError(f"{self.name} must not be empty")
             if self.choices and raw not in self.choices:
                 raise ValidationError(
                     f"{self.name} must be one of {', '.join(self.choices)}, got '{raw}'")
@@ -259,13 +261,10 @@ COMMANDS = {
 
 
 # rows of a float table formatted by one floattext.table_text call in emit:
-# on 2 cores 2048-row blocks took 153 ns a number, 1024 and 4096-row ones
-# 176-180 ns
+# emitting a 2e5 x 4 scan took a median 154-159 ns a number in 2048-row
+# blocks and 162-166 ns in 1024-row ones; 4096-row ones took 146-149 ns but
+# won only 6 of 10 CSV pairs against 2048
 _BLOCK_ROWS = 2048
-# fewest rows in each part of a float table split across CPUs. On 2 shared
-# cores a split broke even at 16384-row parts; 2x that keeps a gain when the
-# other core is busy.
-_FORK_ROWS = 16 * _BLOCK_ROWS
 
 
 def _number(value) -> str:
@@ -300,82 +299,12 @@ def _meta(meta: dict | None) -> tuple[dict, str]:
     return meta, ",".join(f"{json.dumps(k)}:{_json_value(v)}" for k, v in sorted(meta.items()))
 
 
-def _blocks(rows: np.ndarray, row: str, sep: str, start: int, stop: int):
-    """The text of rows[start:stop], _BLOCK_ROWS rows at a time, each block
-    but the table's first with its leading separator."""
+def _blocks(rows: np.ndarray, row: str, sep: str):
+    """The text of a float table, _BLOCK_ROWS rows at a time, each block
+    but the first with its leading separator."""
     from .floattext import table_text
-    for i in range(start, stop, _BLOCK_ROWS):
-        yield (sep if i else "") + table_text(rows[i:min(i + _BLOCK_ROWS, stop)], row, sep)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork or ask."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _format_part(spool, rows: np.ndarray, row: str, sep: str, start: int,
-                 stop: int) -> None:
-    """In a forked child: write rows[start:stop] to spool, then exit.
-
-    The child leaves only through os._exit, so it never unwinds into the
-    parent's frames (whose cleanup would delete the parent's temp files)
-    and never flushes the parent's buffered output.
-    """
-    code = 1
-    try:
-        spool.writelines(_blocks(rows, row, sep, start, stop))
-        spool.flush()
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _float_table(rows: np.ndarray, row: str, sep: str):
-    """The text of a float table, formatted on every usable CPU when large.
-
-    The rows are cut on block boundaries into one contiguous part per
-    usable CPU, each of at least _FORK_ROWS rows. A forked child formats
-    each part but the first into an unlinked temp file while this process
-    yields the first; the children's files then follow in order, so the
-    bytes do not depend on the number of parts. A child that fails raises
-    NumericalError. Every child is reaped before the generator returns,
-    raises or is closed.
-    """
-    count = len(rows)
-    blocks = -(-count // _BLOCK_ROWS)
-    parts = min(_usable_cpus(), count // _FORK_ROWS, blocks)
-    if parts < 2:
-        yield from _blocks(rows, row, sep, 0, count)
-        return
-    import tempfile
-    cuts = [blocks * j // parts * _BLOCK_ROWS for j in range(parts)] + [count]
-    spools, pending = [], []
-    try:
-        for start, stop in zip(cuts[1:], cuts[2:]):
-            spools.append(tempfile.TemporaryFile("w+", encoding="utf-8"))
-            pid = os.fork()
-            if pid == 0:
-                _format_part(spools[-1], rows, row, sep, start, stop)
-            pending.append(pid)
-        yield from _blocks(rows, row, sep, 0, cuts[1])
-        for spool, start, stop in zip(spools, cuts[1:], cuts[2:]):
-            status = os.waitpid(pending[0], 0)[1]
-            pid = pending.pop(0)
-            code = os.waitstatus_to_exitcode(status)
-            if code:
-                why = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                raise NumericalError(f"formatting rows {start}-{stop - 1} failed in "
-                                     f"process {pid} ({why})")
-            spool.seek(0)
-            while chunk := spool.read(1 << 20):
-                yield chunk
-    finally:
-        for pid in pending:
-            os.waitpid(pid, 0)
-        for spool in spools:
-            spool.close()
+    for i in range(0, len(rows), _BLOCK_ROWS):
+        yield (sep if i else "") + table_text(rows[i:i + _BLOCK_ROWS], row, sep)
 
 
 def _write(path: Path, chunks, meta: dict, argv: list[str] | None) -> None:
@@ -425,9 +354,7 @@ def emit(columns, rows, fmt: str, path: Path, meta: dict | None = None,
 
     ``rows`` is a sequence of rows, or a 2-D float array, which is written
     ``_BLOCK_ROWS`` rows at a time by ``floattext.table_text`` with the
-    bytes of the per-cell path; a float array of at least 2 x
-    ``_FORK_ROWS`` rows is formatted on every usable CPU (see
-    ``_float_table``).
+    bytes of the per-cell path.
     """
     meta, meta_text = _meta(meta)
     if fmt == "csv":
@@ -445,14 +372,11 @@ def emit(columns, rows, fmt: str, path: Path, meta: dict | None = None,
         bad = ~np.isfinite(rows)
         if bad.any():
             raise NumericalError(f"refusing to write the non-finite value {float(rows[bad][0])}")
-        body = _float_table(rows, row, sep)
+        body = _blocks(rows, row, sep)
     else:
         body = ((sep if i else "") + row.format(",".join(map(cell, r)))
                 for i, r in enumerate(rows))
-    try:
-        _write(path, itertools.chain((head,), body, (tail,)), meta, argv)
-    finally:
-        body.close()  # reaps the formatting children of a write that failed
+    _write(path, itertools.chain((head,), body, (tail,)), meta, argv)
 
 
 def emit_magic_points(points, path: Path, meta: dict | None = None,
@@ -627,7 +551,15 @@ def _scan_meta(species, args) -> dict:
             "state2": args.state2, "calibrated": args.calibrated}
 
 
+def _check_window(args) -> None:
+    """Refuse a reversed or empty --from/--to window before a species loads."""
+    if not args.lo < args.hi:
+        raise ValidationError(f"--from {args.lo*1e9:g} nm must be below --to "
+                              f"{args.hi*1e9:g} nm")
+
+
 def _run_polarizability(args, argv):
+    _check_window(args)
     species = _load(args.species, args.calibrated)
     out = _out_path(args)
     count = _emit_scan(species, args, args.format, out, argv)
@@ -637,6 +569,7 @@ def _run_polarizability(args, argv):
 
 
 def _run_magic(args, argv):
+    _check_window(args)
     from .polarizability import find_magic
     out = _out_path(args)
     species = _load(args.species, args.calibrated)

@@ -184,13 +184,6 @@ def lamb_dicke(probe_wavelength_m: float, nu_axial_hz: float, mass_kg: float) ->
     return math.sqrt(nu_rec / nu_axial_hz)
 
 
-def is_resolved_sideband(nu_axial_hz: float, linewidth_hz: float,
-                         factor: float = 10.0) -> bool:
-    """True when the trap frequency exceeds the transition linewidth by
-    ``factor`` (sidebands well separated from the carrier)."""
-    return nu_axial_hz > factor * linewidth_hz
-
-
 def site_offset(mass_kg: float, lattice_wavelength_m: float, local_g: float) -> float:
     """Gravitational energy difference between neighboring sites, in Hz:
     delta nu = m g (lambda/2) / h. Zero gravity is allowed."""

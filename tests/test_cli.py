@@ -13,7 +13,6 @@ import pytest
 import magictrap.cavityqed as cavityqed
 import magictrap.cli as cli
 import magictrap.clockspec as clockspec
-import magictrap.floattext as floattext
 from magictrap.atomdata import load_species
 from magictrap.cli import emit, parse_quantity, resolve_species, run
 from magictrap.errors import NumericalError, ValidationError
@@ -183,118 +182,6 @@ class TestEmit:
         emit(["a", "b", "c", "d"], [[np.int64(2**53 + 1), True, 2**60 + 1, 0.1]], fmt,
              tmp_path / f"t.{fmt}")
         assert (tmp_path / f"t.{fmt}").read_bytes() == body.encode()
-
-
-def _serial(monkeypatch):
-    """One usable CPU, and a fork that fails the test if the code tries it."""
-    def no_fork():
-        raise AssertionError("the serial path forked")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(os, "fork", no_fork)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
-class TestSplitEmit:
-    """A float table formatted across CPUs by forked children."""
-
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @staticmethod
-    def table(count):
-        rng = np.random.default_rng(count)
-        return rng.standard_normal((count, 3)) * 10.0 ** rng.integers(-300, 300, (count, 3))
-
-    @staticmethod
-    def split(monkeypatch, cpus, block_rows, fork_rows):
-        """Pretend ``cpus`` usable CPUs and set the block and part sizes;
-        returns the list of forks made."""
-        forks, fork = [], os.fork
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
-        monkeypatch.setattr(cli, "_FORK_ROWS", fork_rows)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        return forks
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("cpus, block_rows, fork_rows, count, parts", [
-        (2, 1024, 1024, 2048, 2),  # the cut on a block boundary, whole blocks
-        (2, 1024, 1024, 2049, 2),  # one row past it
-        (2, 1024, 512, 1025, 2),   # a last part of one row
-        (3, 8, 16, 100, 3),        # two children, parts of 32, 32 and 36 rows
-        (4, 8, 16, 40, 2),         # rows, not CPUs, limit the parts
-    ], ids=["boundary", "one-past", "last-row", "three-parts", "row-bound"])
-    def test_bytes_match_the_serial_path(self, tmp_path, monkeypatch, fmt, cpus, block_rows,
-                                         fork_rows, count, parts):
-        table = self.table(count)
-        forks = self.split(monkeypatch, cpus, block_rows, fork_rows)
-        emit(["x", "y", "z"], table, fmt, tmp_path / f"split.{fmt}", meta={"k": 1})
-        assert len(forks) == parts - 1
-        _serial(monkeypatch)
-        emit(["x", "y", "z"], table, fmt, tmp_path / f"serial.{fmt}", meta={"k": 1})
-        split = (tmp_path / f"split.{fmt}").read_bytes()
-        assert split == (tmp_path / f"serial.{fmt}").read_bytes()
-        if fmt == "json":
-            assert np.array_equal(json.loads(split)["rows"], table)
-
-    @pytest.mark.parametrize("fail, why", [
-        (lambda: 1 / 0, "exit status 1"),
-        (lambda: os.kill(os.getpid(), 9), "killed by signal 9"),
-    ], ids=["raises", "killed"])
-    def test_failed_child_raises_and_keeps_the_old_output(self, tmp_path, monkeypatch, capsys,
-                                                          fail, why):
-        out = tmp_path / "t.csv"
-        emit(["a"], [[1.0]], "csv", out)
-        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
-        parent, table_text = os.getpid(), floattext.table_text
-
-        def fails_in_a_child(*args):
-            if os.getpid() != parent:
-                fail()
-            return table_text(*args)
-
-        self.split(monkeypatch, 3, 8, 16)
-        monkeypatch.setattr(floattext, "table_text", fails_in_a_child)
-        with pytest.raises(NumericalError, match=rf"formatting rows 32-63 failed .*\({why}\)$"):
-            emit(["x", "y", "z"], self.table(100), "csv", out)
-        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
-        capsys.readouterr()
-        assert run(["polarizability", *SCAN_ARGS, "--points", "100", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.count("\n") == 1
-        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
-
-    def test_children_are_reaped_when_the_parent_fails(self, tmp_path, monkeypatch):
-        forks = self.split(monkeypatch, 3, 8, 16)
-        parent, table_text = os.getpid(), floattext.table_text
-
-        def fails_in_the_parent(*args):
-            if os.getpid() == parent:
-                raise RuntimeError("parent failure")
-            return table_text(*args)
-
-        monkeypatch.setattr(floattext, "table_text", fails_in_the_parent)
-        with pytest.raises(RuntimeError, match="parent failure"):
-            emit(["x", "y", "z"], self.table(100), "json", tmp_path / "t.json")
-        assert len(forks) == 2 and list(tmp_path.iterdir()) == []
-
-    def test_children_are_reaped_when_the_write_fails(self, tmp_path, monkeypatch):
-        forks = self.split(monkeypatch, 3, 8, 16)
-
-        def write_fails(path, chunks, meta, argv):
-            it = iter(chunks)
-            next(it), next(it)  # the header, then the first block: the children run
-            raise OSError("no space left")
-
-        monkeypatch.setattr(cli, "_write", write_fails)
-        with pytest.raises(OSError, match="no space left") as failure:
-            emit(["x", "y", "z"], self.table(100), "csv", tmp_path / "t.csv")
-        # reaped already, not when the traceback (held here) lets the generator go
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert len(forks) == 2 and failure.traceback
 
 
 class TestExitCodes:
@@ -591,6 +478,9 @@ CAVITY_ARGS = ["--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz", "--poin
     ["magic", *SCAN_ARGS, "--points", "40", "--out", "s.csv.meta.json", "--scan-out", "s.csv"],
     ["magic", *SCAN_ARGS, "--points", "40", "--scan-out", "magic.json"],  # the default --out
     ["magic", *SCAN_ARGS, "--points", "40", "--out", "sub/../m.json", "--scan-out", "./m.json"],
+    # an empty path is refused, not taken as the default or as no table
+    ["ladder", "--g0", "1e6hz", "--n", "2", "--out", ""],
+    ["magic", *SCAN_ARGS, "--points", "40", "--scan-out", ""],
     ["cavity-spectrum", *CAVITY_ARGS, "--jobs", "65"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_bad_values_exit_1_before_any_write(argv, tmp_path, monkeypatch, capsys):
@@ -843,11 +733,14 @@ def test_negative_value_for_a_positive_flag_still_exits_1(tmp_path, monkeypatch)
 
 @pytest.mark.parametrize("bounds", [("900nm", "700nm"), ("700nm", "700nm")])
 def test_polarizability_needs_increasing_bounds(bounds, tmp_path, monkeypatch, capsys):
-    """A reversed or empty window exits 1, as it does for magic."""
+    """A reversed or empty window exits 1 for both scan commands, with one
+    line naming both flags in nm, before a species loads."""
     monkeypatch.chdir(tmp_path)
     lo, hi = bounds
-    assert run(["polarizability", "--species", "sr87", "--state1", "1S0",
-                "--state2", "3P0", "--from", lo, "--to", hi]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("magictrap: bad scan interval") and len(err.splitlines()) == 1
+    monkeypatch.setattr(cli, "_load", lambda *args: pytest.fail("the species loaded"))
+    for command in ("polarizability", "magic"):
+        assert run([command, "--species", "sr87", "--state1", "1S0",
+                    "--state2", "3P0", "--from", lo, "--to", hi]) == 1
+        assert capsys.readouterr().err == (f"magictrap: --from {lo[:-2]} nm must be below "
+                                           f"--to {hi[:-2]} nm\n")
     assert list(tmp_path.iterdir()) == []

@@ -5,9 +5,8 @@ import pytest
 
 from magictrap.errors import ValidationError
 from magictrap.fieldtrap import (FieldConfig, GaussianBeam, Lattice1D,
-                                 intensity_at, is_resolved_sideband,
-                                 lamb_dicke, peak_intensity, recoil,
-                                 site_offset, trap_frequencies,
+                                 intensity_at, lamb_dicke, peak_intensity,
+                                 recoil, site_offset, trap_frequencies,
                                  trap_parameters)
 
 SR_MASS = 1.4431559e-25  # kg, as shipped in sr87.lines
@@ -143,10 +142,6 @@ class TestLambDicke:
     def test_zero_axial_rejected(self):
         with pytest.raises(ValidationError):
             lamb_dicke(698e-9, 0.0, SR_MASS)
-
-    def test_resolved_sideband_flag(self):
-        assert is_resolved_sideband(49e3, 1e-3)
-        assert not is_resolved_sideband(10.0, 5.0)
 
 
 class TestSiteOffset:

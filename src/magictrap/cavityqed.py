@@ -17,9 +17,13 @@ with the trace condition in place of one equation, in numpy alone. With
 N = a'a + sigma+ sigma-, rho_ij has coherence order q = N_i - N_j; only the
 drive changes q, by +-1, so the generator is block tridiagonal in q and
 the probe frequency shifts only the diagonal of each block. The blocks are
-assembled once per probe grid and eliminated for stacks of probe points. A
-spectrum reads block 0 alone, so a stack holds one level at a time, its s_q
-and T_q; only the one-point steady_state keeps every T_q, for rho.
+assembled once per probe grid, by index arithmetic on the small operators,
+and kept as their nonzero entries: each diagonal block as (row, column,
+value) triples, each drive coupling up one level as at most two (column,
+value) pairs per row; the couplings down and to block -1 follow from those
+by symmetry. They are eliminated for stacks of probe points. A spectrum and
+g2_zero read block 0 alone, so a stack holds one level at a time, its s_q
+and T_q; only steady_state keeps every T_q, for rho.
 """
 
 from __future__ import annotations
@@ -171,17 +175,49 @@ def blockade_detuning(g0: float) -> float:
     return (math.sqrt(2.0) - 1.0) * g0
 
 
-def _block(ops, rows, cols):
-    """Entries L[i + j dim, k + l dim] of the vectorised generator for row
-    pairs (i, j) and column pairs (k, l), with real H and jump operators c:
-    -i (H_ik d_jl - H_lj d_ik) + sum_c (c_ik c_jl - (c'c)_ik d_jl / 2 - (c'c)_lj d_ik / 2)."""
-    h, collapse, cdc = ops
-    (i, j), (k, l) = (rows[0][:, None], rows[1][:, None]), cols
+def _entries(ops, rows, cols):
+    """The nonzero entries L[i + j dim, k + l dim] of the vectorised generator
+    for row pairs (i, j) and column pairs (k, l), as (rows, columns, values)
+    sorted by row, with real H and jump operators c:
+    -i (H_ik d_jl - H_lj d_ik) + sum_c (c_ik c_jl - (c'c)_ik d_jl / 2 - (c'c)_lj d_ik / 2),
+    evaluated only where i reaches k and j reaches l through some operator."""
+    h, collapse, cdc, reach = ops
+    (i, j), (k, l) = rows, cols
+    r, c = np.nonzero(reach[i[:, None], k] & reach[j[:, None], l])
+    i, j, k, l = i[r], j[r], k[c], l[c]
     same_i, same_j = i == k, j == l
-    out = (-1j * (h[i, k] * same_j - h[l, j] * same_i)
-           - 0.5 * (cdc[i, k] * same_j + cdc[l, j] * same_i))
-    for c in collapse:
-        out += c[i, k] * c[j, l]
+    vals = (-1j * (h[i, k] * same_j - h[l, j] * same_i)
+            - 0.5 * (cdc[i, k] * same_j + cdc[l, j] * same_i))
+    for op in collapse:
+        vals += op[i, k] * op[j, l]
+    keep = vals != 0
+    return r[keep], c[keep], vals[keep]
+
+
+def _pairs(entries, n: int):
+    """A drive coupling's entries, at most two a row, as two (columns,
+    values) terms, each (2, n): term e holds the e-th entry of every row, or
+    column 0 and value 0 where the row has fewer. The values carry a
+    trailing axis for _gather."""
+    rows, cols, vals = entries
+    slot = np.arange(rows.size) - np.searchsorted(rows, rows)
+    pairs = np.zeros((2, n), dtype=np.intp), np.zeros((2, n, 1), dtype=complex)
+    pairs[0][slot, rows] = cols
+    pairs[1][slot, rows, 0] = vals
+    return pairs
+
+
+def _gather(pairs, x):
+    """A coupling stored by _pairs times each matrix of the stack x: the
+    row gathers of its first term for the whole stack, then those of its
+    second term a matrix at a time, so only the result is stack-sized."""
+    (c0, c1), (v0, v1) = pairs
+    out = x.take(c0, axis=1)
+    out *= v0
+    for out_k, x_k in zip(out, x):
+        g = x_k.take(c1, axis=0)
+        g *= v1
+        out_k += g
     return out
 
 
@@ -193,7 +229,12 @@ class _CoherenceBlocks:
     w = omega_p/scale, adds i q w to the diagonal of block q. Block -q holds
     the transposes of block q's pairs in the same order; the generator maps
     Hermitian matrices to Hermitian ones, so block -q's equations are the
-    conjugates of block q's and only q > 0 is eliminated.
+    conjugates of block q's and only q > 0 is eliminated. For the same
+    reason block 0's coupling to block -1 is the conjugate of its coupling
+    to block 1 with every pair transposed; and H is real and symmetric, so
+    the drive's coupling down from level q is the transpose of the one up
+    from level q - 1. Only diag (triples, from _entries) and up (from
+    _pairs) are stored.
     """
 
     def __init__(self, sys: CavitySystem, drive: float, z: float, grid: np.ndarray):
@@ -219,19 +260,19 @@ class _CoherenceBlocks:
         h = (offset / self.scale * (sm.T @ sm)
              + g_s * (a.T @ sm + a @ sm.T) + eps_s * (a + a.T))
         collapse = (math.sqrt(2.0 * kappa_s) * a, math.sqrt(2.0 * gamma_s) * sm)
-        ops = (h, collapse, sum(c.T @ c for c in collapse))
+        cdc = sum(c.T @ c for c in collapse)
+        # the index pairs an operator connects (the jump operators are multiples of a and sm)
+        reach = np.eye(self.dim, dtype=bool) | (h != 0) | (cdc != 0) | (a != 0) | (sm != 0)
+        ops = (h, collapse, cdc, reach)
 
         exc = np.arange(self.dim) // 2 + np.arange(self.dim) % 2
         p = self.pairs = [np.nonzero(exc[:, None] - exc == q) for q in range(n_levels + 1)]
-        self.diag = [_block(ops, p[q], p[q]) for q in range(n_levels + 1)]
-        self.down = [None] + [_block(ops, p[q], p[q - 1]) for q in range(1, n_levels + 1)]
-        self.up = [_block(ops, p[q], p[q + 1]) for q in range(n_levels)]
-        self.up_neg = _block(ops, p[0], p[1][::-1])
-        # rho_00's equation, first in block 0, becomes the trace condition
         i0, j0 = p[0]
         self.pops = np.flatnonzero(i0 == j0)
-        self.diag[0][0] = self.up[0][0] = self.up_neg[0] = 0.0
-        self.diag[0][0, self.pops] = 1.0
+        # every diagonal entry of a block q >= 1 holds a decay rate, so it is
+        # stored and takes the probe shift
+        self.diag = [_entries(ops, p[q], p[q]) for q in range(n_levels + 1)]
+        self.up = [_pairs(_entries(ops, p[q], p[q + 1]), p[q][0].size) for q in range(n_levels)]
         # position in block 0 of each pair's transpose: block 0 is sorted by
         # (i, j), so this is the order by (j, i), an involution
         self.transpose0 = np.lexsort((i0, j0))
@@ -248,20 +289,40 @@ class _CoherenceBlocks:
         t = ()  # nothing above the top level
         try:
             for q in range(len(self.diag) - 1, 0, -1):
-                s = np.repeat(self.diag[q][None], w.size, axis=0)
-                s[:, range(s.shape[1]), range(s.shape[1])] += 1j * q * w[:, None]
-                # a point at a time, here and in block 0: no stack-sized temporaries
-                for k in range(len(t)):
-                    s[k] += self.up[q] @ t[k]
+                n = self.pairs[q][0].size
+                # s_q: the coupling to level q + 1 (none above the top), plus
+                # block q and the probe shift
+                s = _gather(self.up[q], t) if len(t) else np.zeros((w.size, n, n), dtype=complex)
                 del t
-                t = np.linalg.solve(s, self.down[q][None])
-                del s
+                rows, cols, vals = self.diag[q]
+                s[:, rows, cols] += vals + 1j * q * w[:, None] * (rows == cols)
+                # the right-hand side: the coupling down to level q - 1, the
+                # transpose of the one up from it
+                m = self.pairs[q - 1][0].size
+                down = np.zeros((n, m), dtype=complex)
+                for cols, vals in zip(*self.up[q - 1]):
+                    down[cols, range(m)] += vals[:, 0]
+                t = np.linalg.solve(s, down[None])
+                del s, down
                 np.negative(t, out=t)
                 if transfers is not None:
                     transfers.insert(0, t)
-            x0 = np.array([np.linalg.solve(self.diag[0] + self.up[0] @ t_k
-                                           + self.up_neg @ t_k.conj()[:, self.transpose0],
-                                           np.eye(t_k.shape[1], 1))[:, 0] for t_k in t])
+            rows, cols, vals = self.diag[0]
+            rhs = np.eye(len(self.transpose0), 1)
+            x0 = []
+            for t_k in t:
+                s = _gather(self.up[0], t_k[None])[0]
+                # the coupling to block -1 is the conjugate of the one to block 1,
+                # with every pair and its equation transposed
+                s_neg = s.take(self.transpose0, axis=0).take(self.transpose0, axis=1)
+                np.conjugate(s_neg, out=s_neg)
+                s[rows, cols] += vals
+                s += s_neg
+                # rho_00's equation, first in block 0, becomes the trace condition
+                s[0] = 0.0
+                s[0, self.pops] = 1.0
+                x0.append(np.linalg.solve(s, rhs)[:, 0])
+            x0 = np.array(x0)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"singular Liouvillian ({self.sys}, drive={self.drive}, "
@@ -327,8 +388,11 @@ def g2_zero(sys: CavitySystem, drive: float, omega_p: float,
     steady state. Requires n_max >= 3; undefined at zero photon number."""
     if sys.n_max < 3:
         raise ValidationError("g2_zero needs n_max >= 3")
-    ss = steady_state(sys, drive, omega_p, z)
-    return float(_g2(np.real(np.diag(ss.rho)), ss.mean_n))
+    grid = np.array([omega_p], dtype=float)
+    blocks = _CoherenceBlocks(sys, drive, z, grid)
+    pops = blocks.eliminate(grid)[0, blocks.pops].real
+    mean_n, _, _ = _observables(sys, drive, pops)
+    return float(_g2(pops, mean_n))
 
 
 def vacuum_rabi_spectrum(sys: CavitySystem, drive: float, omega_p_grid,

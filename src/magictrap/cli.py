@@ -700,14 +700,16 @@ def _cavity_system(args, delta_b: float = 0.0, delta_e: float = 0.0):
 def _run_cavity_spectrum(args, argv):
     if args.g2 and args.nmax < 3:  # g2(0) needs 3 Fock levels
         raise ValidationError(f"--nmax must be >= 3 with --g2, got '{args.nmax}'")
+    lo = args.lo if args.lo is not None else -2.0 * args.g0
+    hi = args.hi if args.hi is not None else +2.0 * args.g0
+    if not lo < hi:
+        raise ValidationError(f"--from {lo:g} Hz must be below --to {hi:g} Hz")
     import numpy as np
 
     from .cavityqed import vacuum_rabi_spectrum
     sys_ = _cavity_system(args, args.delta_b, args.delta_e)
     drive = TWO_PI * args.drive if args.drive is not None else 1e-3 * sys_.kappa
-    lo = TWO_PI * args.lo if args.lo is not None else -2.0 * sys_.g0
-    hi = TWO_PI * args.hi if args.hi is not None else +2.0 * sys_.g0
-    result = vacuum_rabi_spectrum(sys_, drive, np.linspace(lo, hi, args.points),
+    result = vacuum_rabi_spectrum(sys_, drive, np.linspace(TWO_PI * lo, TWO_PI * hi, args.points),
                                   with_g2=args.g2)
     g2 = result.g2 if result.g2 is not None else [None] * args.points
     rows = [[w / TWO_PI, t, n, g]

@@ -326,6 +326,25 @@ def reference_steady_state(sys_, eps, omega_p, z=0.0):
     return mean_n, (photons * (photons - 1)) @ pops / mean_n**2
 
 
+def stored_bytes(blocks):
+    """Bytes of the entries that a _CoherenceBlocks keeps of its blocks."""
+    return sum(a.nbytes for entries in [*blocks.diag, *blocks.up] for a in entries)
+
+
+def traced_peak(fn):
+    """Peak of the memory traced while fn runs, above what was traced before."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def assert_matches_points(result, sys_, eps, z=0.0):
     """Every point of a spectrum agrees with the one-point path to 1e-12,
     whose rho is Hermitian to 1e-14, and with the per-point reference to 1e-10."""
@@ -405,20 +424,56 @@ class TestGridSolver:
                            mode_wavelength_m=852e-9)
         z, eps = 90e-9, 0.05 * KAPPA
         grid = np.linspace(-2.5 * G0, 1.5 * G0, 45)
-        blocks = cavityqed._CoherenceBlocks(sys_, eps, z, grid)
-        own = sum(b.nbytes for b in [*blocks.diag, *blocks.down[1:], *blocks.up, blocks.up_neg])
-        del blocks
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            vacuum_rabi_spectrum(sys_, eps, grid, z=z, with_g2=True)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        own = stored_bytes(cavityqed._CoherenceBlocks(sys_, eps, z, grid))
+        peak = traced_peak(lambda: vacuum_rabi_spectrum(sys_, eps, grid, z=z, with_g2=True))
         assert peak <= own + 1.25 * cavityqed.CHUNK_BYTES
+
+    @pytest.mark.parametrize("n_max, limit", [(20, 0.5), (40, 1.5)])
+    def test_stored_blocks_are_small(self, n_max, limit):
+        """The blocks are kept as their nonzero entries: 0.16 MiB at n_max 20
+        and 0.59 MiB at n_max 40, against 2.4 and 17.4 MiB dense."""
+        sys_ = make_system(n_max=n_max, delta_b=-0.2 * G0, delta_e=0.15 * G0)
+        grid = np.linspace(-2.5 * G0, 1.5 * G0, 20)
+        blocks = cavityqed._CoherenceBlocks(sys_, 0.05 * KAPPA, 0.0, grid)
+        assert stored_bytes(blocks) < limit * 2**20
+
+    def test_entries_rebuild_the_dense_generator(self, monkeypatch):
+        """The entries found by index arithmetic rebuild each block of the
+        generator assembled densely from Kronecker products; every diagonal
+        entry of a block q >= 1 is stored, and each drive coupling's two
+        terms give its products."""
+        calls = []
+        entries = cavityqed._entries
+
+        def recording(ops, rows, cols):
+            calls.append((ops, rows, cols, entries(ops, rows, cols)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(cavityqed, "_entries", recording)
+        sys_ = make_system(n_max=4, delta_b=-0.2 * G0, delta_e=0.15 * G0,
+                           mode_wavelength_m=852e-9)
+        cavityqed._CoherenceBlocks(sys_, 0.05 * KAPPA, 90e-9, np.array([-G0, G0]))
+        # diagonal blocks q = 0 .. n_max + 1, then the couplings up from q = 0 .. n_max
+        assert len(calls) == 2 * sys_.n_max + 3
+        h, collapse, cdc, _ = calls[0][0]
+        dim = len(h)
+        eye = np.eye(dim)
+        full = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+        for c in collapse:
+            full += np.kron(c, c) - 0.5 * np.kron(eye, c.T @ c) - 0.5 * np.kron(c.T @ c, eye)
+        rng = np.random.default_rng(5)
+        for q, (_, (i, j), (k, l), (rows, cols, vals)) in enumerate(calls):
+            dense = np.zeros((i.size, k.size), dtype=complex)
+            dense[rows, cols] = vals
+            np.testing.assert_allclose(dense, full[np.ix_(i + j * dim, k + l * dim)],
+                                       rtol=0, atol=1e-14)
+            if 0 < q <= sys_.n_max + 1:
+                assert np.count_nonzero(rows == cols) == i.size
+            elif q > sys_.n_max + 1:
+                x = rng.normal(size=(k.size, 3)) + 1j * rng.normal(size=(k.size, 3))
+                pairs = cavityqed._pairs((rows, cols, vals), i.size)
+                np.testing.assert_allclose(cavityqed._gather(pairs, x[None])[0], dense @ x,
+                                           rtol=1e-14)
 
     def test_overdriven_spectrum_warns(self):
         with pytest.warns(TruncationWarning):
@@ -464,6 +519,26 @@ class TestG2:
         g = 13 * KAPPA
         sys_ = CavitySystem(g0=g, kappa=KAPPA, gamma=KAPPA, n_max=8)
         assert g2_zero(sys_, 0.1 * KAPPA, -g / math.sqrt(2)) > 1.0
+
+    @pytest.mark.parametrize("n_max", [5, 20])
+    def test_g2_zero_is_the_steady_state_g2_bit_for_bit(self, n_max):
+        """g2_zero solves down to block 0 alone; its populations are those of
+        steady_state's rho, so the number is the same to the last bit."""
+        sys_ = make_system(n_max=n_max, delta_b=-0.2 * G0, delta_e=0.15 * G0,
+                           mode_wavelength_m=852e-9)
+        z, eps = 90e-9, 0.1 * KAPPA
+        for omega_p in (-G0, -G0 / math.sqrt(2), 0.3 * G0):
+            ss = steady_state(sys_, eps, omega_p, z)
+            expected = float(cavityqed._g2(np.real(np.diag(ss.rho)), ss.mean_n))
+            assert g2_zero(sys_, eps, omega_p, z).hex() == expected.hex()
+
+    def test_g2_zero_keeps_no_transfer_matrices(self):
+        """steady_state keeps every level's T_q for rho; g2_zero drops each
+        level's T_q once the next is solved, and peaks below half as high."""
+        sys_ = make_system(n_max=20)
+        eps = 0.1 * KAPPA
+        g2_peak = traced_peak(lambda: g2_zero(sys_, eps, -G0))
+        assert g2_peak < 0.5 * traced_peak(lambda: steady_state(sys_, eps, -G0))
 
     def test_needs_three_fock_levels(self):
         with pytest.raises(ValidationError, match="n_max"):

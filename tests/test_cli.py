@@ -744,3 +744,20 @@ def test_polarizability_needs_increasing_bounds(bounds, tmp_path, monkeypatch, c
         assert capsys.readouterr().err == (f"magictrap: --from {lo[:-2]} nm must be below "
                                            f"--to {hi[:-2]} nm\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("window, lo, hi", [
+    (["--from", "10e6hz", "--to", "10e6hz"], "1e+07", "1e+07"),
+    (["--from", "40e6hz", "--to", "-40e6hz"], "4e+07", "-4e+07"),
+    (["--from", "50e6hz"], "5e+07", "4e+07"),  # the default --to is 2 g0
+], ids=["equal", "reversed", "above-default-to"])
+def test_cavity_spectrum_needs_increasing_bounds(window, lo, hi, tmp_path, monkeypatch, capsys):
+    """A reversed or empty probe window exits 1 with one line naming both
+    flags in Hz, before numpy or cavityqed would load."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # an import of either now raises
+    monkeypatch.setitem(sys.modules, "magictrap.cavityqed", None)
+    assert run(["cavity-spectrum", "--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz",
+                *window]) == 1
+    assert capsys.readouterr().err == f"magictrap: --from {lo} Hz must be below --to {hi} Hz\n"
+    assert list(tmp_path.iterdir()) == []

@@ -700,6 +700,7 @@ def _cavity_system(args, delta_b: float = 0.0, delta_e: float = 0.0):
 def _run_cavity_spectrum(args, argv):
     if args.g2 and args.nmax < 3:  # g2(0) needs 3 Fock levels
         raise ValidationError(f"--nmax must be >= 3 with --g2, got '{args.nmax}'")
+    # the probe window, after its +-2 g0 defaults, must increase; checked before numpy loads
     lo = args.lo if args.lo is not None else -2.0 * args.g0
     hi = args.hi if args.hi is not None else +2.0 * args.g0
     if not lo < hi:

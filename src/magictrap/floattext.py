@@ -156,17 +156,17 @@ def table_text(rows: np.ndarray, row: str, sep: str) -> str:
     """Rows of floats as row.format(cells joined by ','), joined by sep,
     each cell '%.17g' % value: the text of that format, computed in numpy.
     ``row`` holds one '{}'."""
+    head, tail = row.split("{}")
     count, columns = rows.shape
+    ends = np.zeros((columns, 8), np.uint8)  # ',' after a cell, tail + sep + head after a row
+    for j, text in enumerate([b","] * (columns - 1) + [(tail + sep + head).encode()]):
+        ends[j, 4:4 + len(text)] = np.frombuffer(text, np.uint8)
     values = np.asarray(rows, np.float64).ravel()
     mag = np.abs(values)
     fast = (mag > _LOW) & (mag < _HIGH)
     if not fast.any():  # nothing for the kernel: one '%' operation over the rows
         return sep.join([row.format(",".join(["%.17g"] * columns))] * count) % tuple(
             values.tolist())
-    head, tail = row.split("{}")
-    ends = np.zeros((columns, 8), np.uint8)  # ',' after a cell, tail + sep + head after a row
-    for j, text in enumerate([b","] * (columns - 1) + [(tail + sep + head).encode()]):
-        ends[j, 4:4 + len(text)] = np.frombuffer(text, np.uint8)
     slow = np.flatnonzero(~fast)
     if slow.size:
         words = np.zeros((values.size, _WORDS), np.uint64)

@@ -299,7 +299,7 @@ def test_main_collects_nothing_and_skips_teardown(tmp_path):
     assert proc.stdout.endswith("wrote l2.csv\n")
 
 
-def test_in_process_run_leaves_gc_on(tmp_path, monkeypatch, capsys):
+def test_in_process_run_leaves_gc_on(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert gc.isenabled()
     assert magictrap.cli.run(LADDER) == 0

@@ -19,7 +19,6 @@ argv names. numpy loads only in the runners that build arrays, so
 from __future__ import annotations
 
 import argparse
-import gc
 import importlib
 import itertools
 import json
@@ -803,15 +802,12 @@ def __getattr__(name: str):
 
 
 def main() -> None:
-    """The process entry of ``magictrap`` and ``python -m magictrap``: cyclic
-    GC off, then ``os._exit`` once stdout and stderr are flushed, with no
-    interpreter teardown. A fresh ``magic`` run took 132 ms against 151 ms
-    with GC and teardown, ``--version`` 49 against 62 ms (medians of 30
-    alternating processes, 2-core x86-64 VM). A failed flush exits 1 with
-    one line.
-    ``run(argv)`` is the in-process API and leaves GC as it found it.
+    """The process entry of ``magictrap`` and ``python -m magictrap``: runs
+    the command, flushes stdout and stderr, and ends with ``os._exit``, so the
+    process skips the interpreter's teardown. A failed flush exits 1 with one
+    line; an exception that escapes ``run`` propagates as usual. ``run(argv)``
+    is the in-process API.
     """
-    gc.disable()
     code = run(sys.argv[1:])
     try:
         for stream in (sys.stdout, sys.stderr):

@@ -21,8 +21,7 @@ and the separator; cells a number does not use stay 0, and one
 bytes.translate pass removes them. Every other value (0, -0, subnormals,
 |x| <= 1e-11, |x| >= 1e15; the double 1e-11 lies just below 10^-11) skips
 the kernel: one '%' operation formats them all, each padded to its row's
-cells. A table with no number for the kernel is one '%' operation over
-its row format, without the padded cells.
+cells.
 """
 
 from __future__ import annotations
@@ -164,9 +163,6 @@ def table_text(rows: np.ndarray, row: str, sep: str) -> str:
     values = np.asarray(rows, np.float64).ravel()
     mag = np.abs(values)
     fast = (mag > _LOW) & (mag < _HIGH)
-    if not fast.any():  # nothing for the kernel: one '%' operation over the rows
-        return sep.join([row.format(",".join(["%.17g"] * columns))] * count) % tuple(
-            values.tolist())
     slow = np.flatnonzero(~fast)
     if slow.size:
         words = np.zeros((values.size, _WORDS), np.uint64)

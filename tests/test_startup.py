@@ -10,7 +10,6 @@ do not hide an eager import.
 """
 
 import errno
-import gc
 import json
 import os
 import subprocess
@@ -217,9 +216,9 @@ def test_cli_forwards_only_its_name_table(monkeypatch):
         assert not hasattr(magictrap.cli, name)
 
 
-# The process entry, ``main``: cyclic GC off, streams flushed, then
-# ``os._exit`` without interpreter teardown. A pipe is block-buffered only
-# without PYTHONUNBUFFERED, so each check sets or clears it.
+# The process entry, ``main``: streams flushed, then ``os._exit`` without
+# interpreter teardown. A pipe is block-buffered only without
+# PYTHONUNBUFFERED, so each check sets or clears it.
 LADDER = ["ladder", "--g0", "1e6hz", "--n", "2", "--out", "l2.csv"]
 EPIPE_LINE = f"magictrap: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
 
@@ -282,26 +281,16 @@ def test_block_buffered_pipe_gets_every_line(argv, tmp_path, monkeypatch, capsys
 
 
 MAIN_SCRIPT = """
-import atexit, gc, os, sys
+import atexit, os, sys
 import magictrap.cli
 atexit.register(os.write, 2, b"teardown\\n")
-gc.callbacks.append(lambda phase, info: phase == "start" and os.write(2, b"gc\\n"))
 sys.argv = ["magictrap", *sys.argv[1:]]
 magictrap.cli.main()
 """
 
 
-def test_main_collects_nothing_and_skips_teardown(tmp_path):
-    # the ladder run imports numpy, which collects dozens of times with GC on
+def test_main_skips_teardown(tmp_path):
     proc = subprocess.run([sys.executable, "-c", MAIN_SCRIPT, *LADDER], cwd=tmp_path,
                           env=ENV, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.endswith("wrote l2.csv\n")
-
-
-def test_in_process_run_leaves_gc_on(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert gc.isenabled()
-    assert magictrap.cli.run(LADDER) == 0
-    assert magictrap.cli.run(["--version"]) == 0
-    assert gc.isenabled()

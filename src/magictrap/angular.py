@@ -1,4 +1,5 @@
-"""Wigner 6-j symbols via the Racah sum formula.
+"""Wigner 6-j symbols via the Racah sum formula, and the light
+polarizations whose geometry factors weight the vector and tensor parts.
 
 Angular momenta may be half-integers; internally everything is doubled to
 stay in exact integer arithmetic. Results are exact rationals under a square
@@ -6,7 +7,10 @@ root, evaluated in float (plenty for the J <= 2 couplings used here).
 """
 
 from functools import lru_cache
-from math import factorial, sqrt
+from math import cos, factorial, sqrt
+from typing import NamedTuple
+
+from .errors import ValidationError
 
 
 def _two(j):
@@ -58,3 +62,40 @@ def wigner_6j(j1, j2, j3, j4, j5, j6):
     """{j1 j2 j3; j4 j5 j6}; zero when any triangle condition fails."""
     return _wigner_6j_doubled(_two(j1), _two(j2), _two(j3),
                               _two(j4), _two(j5), _two(j6))
+
+
+class LinearPolarization(NamedTuple):
+    """Linear polarization; ``theta_p`` is the angle between the
+    polarization axis and the quantization axis (radians)."""
+
+    theta_p: float = 0.0
+
+    @property
+    def circular_degree(self) -> float:
+        # A cos(kappa) = 0: linear light drives no vector shift
+        return 0.0
+
+    @property
+    def tensor_angle_factor(self) -> float:
+        return 0.5 * (3.0 * cos(self.theta_p) ** 2 - 1.0)
+
+
+class CircularPolarization(NamedTuple):
+    """sigma+ (sign=+1) or sigma- (sign=-1), propagating along the
+    quantization axis; the polarization plane is then transverse, so the
+    tensor geometry factor is -1/2."""
+
+    sign: int = +1
+
+    @property
+    def circular_degree(self) -> float:
+        if self.sign not in (-1, 1):
+            raise ValidationError("circular polarization sign must be +1 or -1")
+        return float(self.sign)
+
+    @property
+    def tensor_angle_factor(self) -> float:
+        return -0.5
+
+
+Polarization = LinearPolarization | CircularPolarization

@@ -17,8 +17,8 @@ applied only when the loader is asked to (see ``load_species``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import data_dir
 from .constants import DIPOLE_AU, GAMMA_PREFACTOR, SPEED_OF_LIGHT
@@ -29,78 +29,53 @@ from .errors import CatalogError, ValidationError
 FREQUENCY_CONSISTENCY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     label: str
     energy_hz: float       # above the ground level
     J: float               # total electronic angular momentum
     parity: int | None = None
 
-    def __post_init__(self):
-        if self.energy_hz < 0:
-            raise ValidationError(f"level {self.label}: energy {self.energy_hz} < 0")
-        if self.J < 0 or abs(2 * self.J - round(2 * self.J)) > 1e-9:
-            raise ValidationError(f"level {self.label}: J={self.J} is not a half-integer")
 
-
-@dataclass(frozen=True)
-class TransitionLine:
+class TransitionLine(NamedTuple):
     lower: str
     upper: str
     frequency_hz: float    # ordinary frequency of the transition
     gamma_s: float         # partial decay rate upper -> lower
     d_au: float            # reduced dipole matrix element, |<i||d||k>|, a.u.
 
-    def __post_init__(self):
-        if self.frequency_hz <= 0:
-            raise ValidationError(f"line {self.lower}-{self.upper}: frequency must be > 0")
-        if self.gamma_s <= 0 or self.d_au <= 0:
-            raise ValidationError(f"line {self.lower}-{self.upper}: strength must be > 0")
 
-
-@dataclass(frozen=True)
-class Species:
-    """Immutable after load; safe to share read-only across workers."""
+class Species(NamedTuple):
+    """An immutable catalog. The constructor checks nothing: ``load_species``
+    checks every field of the catalogs it returns."""
 
     name: str
     mass_kg: float
     nuclear_spin: float
     levels: tuple[Level, ...]
     lines: tuple[TransitionLine, ...]
-    _by_label: dict = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        if self.mass_kg <= 0:
-            raise ValidationError(f"species {self.name}: mass must be > 0")
-        by_label = {lv.label: lv for lv in self.levels}
-        if len(by_label) != len(self.levels):
-            raise ValidationError(f"species {self.name}: duplicate level labels")
-        for ln in self.lines:
-            if ln.lower not in by_label or ln.upper not in by_label:
-                raise ValidationError(
-                    f"species {self.name}: line {ln.lower}-{ln.upper} references "
-                    "a missing level")
-        object.__setattr__(self, "_by_label", by_label)
 
     def level(self, label: str) -> Level:
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise ValidationError(
-                f"species {self.name}: unknown level '{label}'") from None
+        for lv in self.levels:
+            if lv.label == label:
+                return lv
+        raise ValidationError(f"species {self.name}: unknown level '{label}'")
 
     def lines_touching(self, label: str) -> tuple[TransitionLine, ...]:
         self.level(label)
         return tuple(ln for ln in self.lines if label in (ln.lower, ln.upper))
 
 
-def dipole_from_gamma(line: TransitionLine, upper_degeneracy: int) -> float:
+def dipole_from_gamma(gamma_s: float, frequency_hz: float, upper_degeneracy: int) -> float:
     """Reduced dipole matrix element (a.u.) from a partial decay rate.
 
     Inverts gamma = omega^3 |<i||d||k>|^2 / (3 pi eps0 hbar c^3 (2J_k+1)),
     with omega the angular transition frequency and J_k the upper level.
     """
-    return _dipole_au(line.gamma_s, line.frequency_hz, upper_degeneracy)
+    if gamma_s <= 0 or frequency_hz <= 0 or upper_degeneracy <= 0:
+        raise ValidationError("dipole_from_gamma: all inputs must be > 0")
+    omega = 2.0 * math.pi * frequency_hz
+    d_si = math.sqrt(gamma_s * GAMMA_PREFACTOR * upper_degeneracy / omega**3)
+    return d_si / DIPOLE_AU
 
 
 def gamma_from_dipole(d_au: float, frequency_hz: float, upper_degeneracy: int) -> float:
@@ -112,14 +87,6 @@ def gamma_from_dipole(d_au: float, frequency_hz: float, upper_degeneracy: int) -
     return omega**3 * d_si**2 / (GAMMA_PREFACTOR * upper_degeneracy)
 
 
-def _dipole_au(gamma_s: float, frequency_hz: float, upper_degeneracy: int) -> float:
-    if gamma_s <= 0 or frequency_hz <= 0 or upper_degeneracy <= 0:
-        raise ValidationError("dipole_from_gamma: all inputs must be > 0")
-    omega = 2.0 * math.pi * frequency_hz
-    d_si = math.sqrt(gamma_s * GAMMA_PREFACTOR * upper_degeneracy / omega**3)
-    return d_si / DIPOLE_AU
-
-
 def _parse_half_integer(token: str, where: str) -> float:
     try:
         if "/" in token:
@@ -129,16 +96,19 @@ def _parse_half_integer(token: str, where: str) -> float:
             value = float(token)
     except (ValueError, ZeroDivisionError):
         raise CatalogError(f"{where}: '{token}' is not a half-integer") from None
-    if value < 0 or abs(2 * value - round(2 * value)) > 1e-9:
+    if not 0 <= value < math.inf or abs(2 * value - round(2 * value)) > 1e-9:
         raise CatalogError(f"{where}: '{token}' is not a non-negative half-integer")
     return value
 
 
-def _parse_float(token: str, where: str) -> float:
+def _parse_float(token: str, where: str, finite: bool = True) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise CatalogError(f"{where}: '{token}' is not a number") from None
+    if finite and not math.isfinite(value):
+        raise CatalogError(f"{where}: '{token}' is not a finite number")
+    return value
 
 
 def bundled_species_path(stem: str) -> Path:
@@ -183,14 +153,16 @@ def load_species(path: str | Path, use_calibration: bool = False) -> Species:
             if len(tokens) == 8:
                 if tokens[6] != "parity":
                     raise CatalogError(f"{where}: malformed level record")
-                parity = int(_parse_float(tokens[7], where))
+                # finite=False: nan and inf get the parity message below
+                parity = _parse_float(tokens[7], where, finite=False)
                 if parity not in (-1, 1):
                     raise CatalogError(f"{where}: parity must be +1 or -1")
-            try:
-                levels.append(Level(tokens[1], _parse_float(tokens[3], where),
-                                    _parse_half_integer(tokens[5], where), parity))
-            except ValidationError as exc:
-                raise CatalogError(f"{where}: {exc}") from None
+                parity = int(parity)
+            energy_hz = _parse_float(tokens[3], where)
+            J = _parse_half_integer(tokens[5], where)
+            if energy_hz < 0:
+                raise CatalogError(f"{where}: level {tokens[1]}: energy {energy_hz} < 0")
+            levels.append(Level(tokens[1], energy_hz, J, parity))
         elif kind == "line":
             raw_lines.append((lineno, tokens))
         else:
@@ -257,11 +229,15 @@ def load_species(path: str | Path, use_calibration: bool = False) -> Species:
         degeneracy = round(2 * upper.J) + 1
         if strength_key == "gamma_s":
             gamma_s = strength * mult
-            d_au = _dipole_au(gamma_s, frequency_hz, degeneracy)
+            d_au = dipole_from_gamma(gamma_s, frequency_hz, degeneracy)
         else:
             # cal multiplies the line strength d^2, so d scales by sqrt(cal)
             d_au = strength * math.sqrt(mult)
             gamma_s = gamma_from_dipole(d_au, frequency_hz, degeneracy)
+        if gamma_s <= 0 or d_au <= 0:  # the conversion underflowed
+            raise CatalogError(f"line {lower_label}-{upper_label}: strength must be > 0")
         lines.append(TransitionLine(lower_label, upper_label, frequency_hz, gamma_s, d_au))
 
+    if mass_kg <= 0:
+        raise CatalogError(f"species {name}: mass must be > 0")
     return Species(name, mass_kg, nuclear_spin, tuple(levels), tuple(lines))

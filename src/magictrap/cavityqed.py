@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +78,7 @@ class CavitySystem:
         return self.g0 * self.psi(z)
 
 
-@dataclass(frozen=True)
-class DressedPair:
+class DressedPair(NamedTuple):
     """n = 1 dressed-transition frequencies relative to the bare atom-cavity
     resonance; Delta+ >= Delta-, with Delta+ + Delta- = delta_e - delta_b
     and Delta+ * Delta- = -g^2."""
@@ -87,23 +87,20 @@ class DressedPair:
     delta_minus: float
 
 
-@dataclass(frozen=True)
-class CriticalNumbers:
+class CriticalNumbers(NamedTuple):
     n0: float                       # saturation photon number gamma^2/g0^2
     n_atoms: float                  # critical atom number kappa gamma/g0^2
     strong_coupling: bool
 
 
-@dataclass(frozen=True)
-class SteadyState:
+class SteadyState(NamedTuple):
     mean_n: float
     transmission: float
     rho: np.ndarray
     top_fock_population: float
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     omega_p: np.ndarray             # rad/s
     transmission: np.ndarray
     mean_n: np.ndarray

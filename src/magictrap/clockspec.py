@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,7 @@ class ClockTransition:
             raise ValidationError("nuclear spin must be a non-negative half-integer")
 
 
-@dataclass(frozen=True)
-class SpectralFeature:
+class SpectralFeature(NamedTuple):
     name: str
     offset_hz: float
     weight: float
@@ -76,8 +76,7 @@ class Measurement:
         return math.hypot(self.stat_hz, self.sys_hz)
 
 
-@dataclass(frozen=True)
-class AggregateResult:
+class AggregateResult(NamedTuple):
     mean_hz: float           # relative to nu0
     sigma_mean_hz: float
     chi2_reduced: float

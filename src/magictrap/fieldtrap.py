@@ -10,50 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
+# the polarization classes live in angular; bench/sublevel.py reads them here
+from .angular import CircularPolarization, LinearPolarization, Polarization  # noqa: F401
 from .constants import PLANCK
 from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class LinearPolarization:
-    """Linear polarization; ``theta_p`` is the angle between the
-    polarization axis and the quantization axis (radians)."""
-
-    theta_p: float = 0.0
-
-    @property
-    def circular_degree(self) -> float:
-        # A cos(kappa) = 0: linear light drives no vector shift
-        return 0.0
-
-    @property
-    def tensor_angle_factor(self) -> float:
-        return 0.5 * (3.0 * math.cos(self.theta_p) ** 2 - 1.0)
-
-
-@dataclass(frozen=True)
-class CircularPolarization:
-    """sigma+ (sign=+1) or sigma- (sign=-1), propagating along the
-    quantization axis; the polarization plane is then transverse, so the
-    tensor geometry factor is -1/2."""
-
-    sign: int = +1
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValidationError("circular polarization sign must be +1 or -1")
-
-    @property
-    def circular_degree(self) -> float:
-        return float(self.sign)
-
-    @property
-    def tensor_angle_factor(self) -> float:
-        return -0.5
-
-
-Polarization = LinearPolarization | CircularPolarization
 
 
 @dataclass(frozen=True)
@@ -109,8 +71,7 @@ class Lattice1D:
 TrapGeometry = GaussianBeam | Lattice1D
 
 
-@dataclass(frozen=True)
-class TrapParameters:
+class TrapParameters(NamedTuple):
     """Derived mechanical parameters of a trap at a given depth."""
 
     depth_j: float

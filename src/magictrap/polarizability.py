@@ -23,16 +23,15 @@ time-averaged intensity. Hyperpolarizability O(E^4) is omitted throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .angular import wigner_6j
+from .angular import LinearPolarization, Polarization, wigner_6j
 from .atomdata import Species, TransitionLine
 from .constants import (HARTREE_HZ, PLANCK, POLARIZABILITY_AU, SPEED_OF_LIGHT,
                         VACUUM_PERMITTIVITY)
 from .errors import PoleError, ValidationError
-from .fieldtrap import LinearPolarization, Polarization
 
 # Relative detuning below which a requested wavelength is rejected as
 # sitting on a catalog resonance.
@@ -47,8 +46,7 @@ REFINE_TOL = 4e-16
 DEFAULT_SCAN_POINTS = 2000
 
 
-@dataclass(frozen=True)
-class PolarizabilityResult:
+class PolarizabilityResult(NamedTuple):
     state: str
     wavelength_m: float
     alpha_scalar_au: float
@@ -64,15 +62,13 @@ class PolarizabilityResult:
         return self.per_m_au[m] * POLARIZABILITY_AU
 
 
-@dataclass(frozen=True)
-class StarkShift:
+class StarkShift(NamedTuple):
     state: str
     potential_j: float                # negative = trapping toward high intensity
     shift_hz: float
 
 
-@dataclass(frozen=True)
-class MagicPoint:
+class MagicPoint(NamedTuple):
     wavelength_m: float
     residual_au: float                # |alpha1 - alpha2| re-evaluated at the root
     bracket_m: tuple[float, float]

@@ -71,6 +71,61 @@ class TestLoader:
             with pytest.raises(CatalogError):
                 load_species(write_species(tmp_path, body))
 
+    def test_negative_level_energy_rejected(self, tmp_path):
+        path = write_species(tmp_path, "level g energy_hz 0 J 0\nlevel e energy_hz -5 J 1\n")
+        with pytest.raises(CatalogError, match=r"^x\.lines:3: level e: energy -5\.0 < 0$"):
+            load_species(path)
+
+    @pytest.mark.parametrize("mass", ["0", "-1e-25"])
+    def test_non_positive_mass_rejected(self, tmp_path, mass):
+        path = write_species(tmp_path, GOOD_BODY, header=f"species X mass_kg {mass} I 0")
+        with pytest.raises(ValidationError, match=r"^species X: mass must be > 0$"):
+            load_species(path)
+
+    def test_mass_is_checked_after_the_lines(self, tmp_path):
+        # a file with several faults reports the first one the loader meets
+        body = GOOD_BODY.replace("461.2191661538", "470")
+        path = write_species(tmp_path, body, header="species X mass_kg -1 I 0")
+        with pytest.raises(CatalogError, match="inconsistent"):
+            load_species(path)
+
+    @pytest.mark.parametrize("field, good", [
+        ("mass_kg", "1e-25"), ("energy_hz", "6.5e14"), ("lambda_nm", "461.2191661538"),
+        ("gamma_s", "2.0e8"), ("cal", "1.0")])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_numbers_rejected(self, tmp_path, field, good, bad):
+        header = "species X mass_kg 1e-25 I 0"
+        body = GOOD_BODY.replace("gamma_s 2.0e8", "gamma_s 2.0e8 cal 1.0")
+        if field == "mass_kg":
+            header = header.replace(good, bad)
+        else:
+            body = body.replace(f"{field} {good}", f"{field} {bad}")
+        lineno = {"mass_kg": 1, "energy_hz": 4, "lambda_nm": 5, "gamma_s": 5, "cal": 5}[field]
+        with pytest.raises(CatalogError,
+                           match=rf"^x\.lines:{lineno}: '{bad}' is not a finite number$"):
+            load_species(write_species(tmp_path, body, header=header))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_dipole_rejected(self, tmp_path, bad):
+        body = GOOD_BODY.replace("gamma_s 2.0e8", f"d_au {bad}")
+        with pytest.raises(CatalogError, match=rf"^x\.lines:5: '{bad}' is not a finite number$"):
+            load_species(write_species(tmp_path, body))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_half_integer_rejected(self, tmp_path, bad):
+        header = f"species X mass_kg 1e-25 I {bad}"
+        with pytest.raises(CatalogError, match=rf"^x\.lines:1: '{bad}' is not a non-negative"):
+            load_species(write_species(tmp_path, GOOD_BODY, header=header))
+        body = GOOD_BODY.replace("J 1", f"J {bad}")
+        with pytest.raises(CatalogError, match=rf"^x\.lines:4: '{bad}' is not a non-negative"):
+            load_species(write_species(tmp_path, body))
+
+    def test_underflowing_strength_rejected(self, tmp_path):
+        for strength in ("gamma_s 1e-300", "d_au 1e-200"):
+            body = GOOD_BODY.replace("gamma_s 2.0e8", strength)
+            with pytest.raises(CatalogError, match=r"^line g-e: strength must be > 0$"):
+                load_species(write_species(tmp_path, body))
+
     def test_loading_is_deterministic(self, tmp_path):
         path = write_species(tmp_path, GOOD_BODY)
         assert load_species(path) == load_species(path)
@@ -115,16 +170,13 @@ class TestDipoleGamma:
         with pytest.raises(ValidationError):
             gamma_from_dipole(0.0, 6.5e14, 3)
 
-    def test_round_trip_identity(self, sr87):
+    def test_round_trip_identity(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             d = rng.uniform(0.1, 6.0)
             freq = rng.uniform(1e13, 2e15)
             deg = int(rng.integers(1, 8))
-            gamma = gamma_from_dipole(d, freq, deg)
-            line = sr87.lines[0]
-            back = dipole_from_gamma(
-                type(line)(line.lower, line.upper, freq, gamma, d), deg)
+            back = dipole_from_gamma(gamma_from_dipole(d, freq, deg), freq, deg)
             assert abs(back - d) / d < 1e-10
 
     def test_461_dipole_regression(self, sr87):
@@ -147,6 +199,15 @@ def test_parity_field_parses(tmp_path):
     species = load_species(path)
     assert species.level("g").parity == 1
     assert species.level("e").parity == -1
+
+
+@pytest.mark.parametrize("parity", ["1.5", "0", "nan", "inf", "-inf"])
+def test_parity_must_be_exactly_one(tmp_path, parity):
+    path = tmp_path / "p.lines"
+    path.write_text("species X mass_kg 1e-25 I 0\n"
+                    f"level g energy_hz 0 J 0 parity {parity}\n")
+    with pytest.raises(CatalogError, match=r"^p\.lines:2: parity must be \+1 or -1$"):
+        load_species(path)
 
 
 def test_sr88_shares_the_crossing(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -13,10 +12,10 @@ import pytest
 import magictrap.cavityqed as cavityqed
 import magictrap.cli as cli
 import magictrap.clockspec as clockspec
+from magictrap.angular import CircularPolarization
 from magictrap.atomdata import load_species
 from magictrap.cli import emit, parse_quantity, resolve_species, run
 from magictrap.errors import NumericalError, ValidationError
-from magictrap.fieldtrap import CircularPolarization
 from magictrap.polarizability import find_magic
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -677,7 +676,7 @@ def test_non_finite_result_exits_2_without_output(tmp_path, monkeypatch, capsys)
         "site,value_hz_minus_nu0,stat_hz,sys_hz\na,60,1,1\nb,70,1,1\n")
     result = clockspec.aggregate_measurements(clockspec.read_measurement_ledger("ledger.csv"))
     monkeypatch.setattr(clockspec, "aggregate_measurements",
-                        lambda rows: dataclasses.replace(result, mean_hz=math.nan))
+                        lambda rows: result._replace(mean_hz=math.nan))
     assert run(["aggregate", "ledger.csv"]) == 2
     assert "numerical failure" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.csv"]
@@ -705,6 +704,17 @@ def test_non_finite_ledger_exits_1_without_output(row, tmp_path, monkeypatch, ca
     assert run(["aggregate", "ledger.csv"]) == 1
     assert "finite" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.csv"]
+
+
+def test_non_finite_catalog_exits_1_without_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.lines").write_text(
+        "species X mass_kg 1e-25 I 0\nlevel g energy_hz 0 J 0\nlevel e energy_hz 6.5e14 J 1\n"
+        "line g e lambda_nm 461.2191661538 gamma_s nan\n")
+    assert run(["polarizability", "--species", "x.lines", "--state1", "g", "--state2", "e",
+                "--from", "700nm", "--to", "900nm", "--points", "5"]) == 1
+    assert capsys.readouterr().err == "magictrap: x.lines:4: 'nan' is not a finite number\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.lines"]
 
 
 @pytest.mark.parametrize("argv", [

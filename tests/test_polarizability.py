@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import synth_species
-from magictrap.angular import wigner_6j
+from magictrap.angular import CircularPolarization, LinearPolarization, wigner_6j
 from magictrap.errors import PoleError, ValidationError
-from magictrap.fieldtrap import CircularPolarization, LinearPolarization
 from magictrap.polarizability import (alpha_m_resolved, alpha_scalar,
                                       differential_clock_shift, find_magic,
                                       scan_delta_alpha, stark_shift)
@@ -119,6 +118,11 @@ class TestPerM:
         assert plus.per_m_au[1] != pytest.approx(plus.per_m_au[-1], rel=1e-9)
         # sigma+ on m equals sigma- on -m
         assert plus.per_m_au[1] == pytest.approx(minus.per_m_au[-1], rel=1e-14)
+
+    def test_circular_sign_must_be_one(self, sr87):
+        with pytest.raises(ValidationError, match="circular polarization sign must be "
+                                                  r"\+1 or -1"):
+            alpha_m_resolved(sr87, "3P1", 915e-9, CircularPolarization(0))
 
     def test_3p2_resolves_every_sublevel(self, sr87):
         plus = alpha_m_resolved(sr87, "3P2", 915e-9, CircularPolarization(+1))

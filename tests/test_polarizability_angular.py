@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import synth_species
+from magictrap.angular import CircularPolarization, LinearPolarization
 from magictrap.constants import HARTREE_HZ
-from magictrap.fieldtrap import CircularPolarization, LinearPolarization
 from magictrap.polarizability import alpha_m_resolved
 
 pytest.importorskip("sympy")

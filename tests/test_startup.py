@@ -117,22 +117,24 @@ print(json.dumps({"code": code, "configparser": "configparser" in sys.modules,
 SCAN = ["--species", "sr87", "--state1", "1S0", "--state2", "3P0",
         "--from", "700nm", "--to", "900nm", "--points", "5"]
 CAVITY = ["--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz"]
-ATOM = ["angular", "atomdata", "constants", "fieldtrap", "polarizability"]
+ATOM = ["angular", "atomdata", "constants", "polarizability"]
+# each argv, the magictrap modules it loads and whether it loads dataclasses,
+# which only the modules with a checked frozen dataclass import
 LOADS = [
-    (["--version"], []),
-    (["polarizability", *SCAN], sorted([*ATOM, "floattext"])),  # a float-array table
-    (["magic", *SCAN], ATOM),
+    (["--version"], [], False),
+    (["polarizability", *SCAN], sorted([*ATOM, "floattext"]), False),  # a float-array table
+    (["magic", *SCAN], ATOM, False),
     (["trap", "--species", "sr87", "--lattice-lambda", "813.428nm", "--waist", "30um",
-      "--depth-erec", "50"], ATOM),
-    (["clock-line", "--duration", "0.5s", "--pi"], ["clockspec", "floattext"]),
-    (["zeeman", "--dg", "108.4hz", "--field", "1e-4t"], ["clockspec"]),
+      "--depth-erec", "50"], sorted([*ATOM, "fieldtrap"]), True),
+    (["clock-line", "--duration", "0.5s", "--pi"], ["clockspec", "floattext"], True),
+    (["zeeman", "--dg", "108.4hz", "--field", "1e-4t"], ["clockspec"], True),
     (["sidebands", "--eta", "0.31", "--nu-z", "49khz", "--nbar", "1", "--width", "3khz",
-      "--points", "11"], ["clockspec", "floattext"]),
-    (["aggregate", str(data_dir() / "sr87_measurements.csv")], ["clockspec"]),
+      "--points", "11"], ["clockspec", "floattext"], True),
+    (["aggregate", str(data_dir() / "sr87_measurements.csv")], ["clockspec"], True),
     (["cavity-spectrum", *CAVITY, "--nmax", "3", "--points", "5", "--g2"],
-     ["cavityqed", "constants"]),
-    (["blockade", *CAVITY, "--nmax", "4"], ["cavityqed", "constants"]),
-    (["ladder", "--g0", "1e6hz", "--n", "2"], ["cavityqed", "constants"]),
+     ["cavityqed", "constants"], True),
+    (["blockade", *CAVITY, "--nmax", "4"], ["cavityqed", "constants"], True),
+    (["ladder", "--g0", "1e6hz", "--n", "2"], ["cavityqed", "constants"], True),
 ]
 
 
@@ -143,13 +145,13 @@ def run_modules(argv, cwd):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv, modules", LOADS, ids=[argv[0] for argv, _ in LOADS])
-def test_each_command_loads_only_its_own_modules(argv, modules, tmp_path):
-    # numpy and dataclasses (with inspect) come with the physics modules,
-    # and only with them
+@pytest.mark.parametrize("argv, modules, dataclasses", LOADS,
+                         ids=[argv[0] for argv, _, _ in LOADS])
+def test_each_command_loads_only_its_own_modules(argv, modules, dataclasses, tmp_path):
+    # numpy (with inspect) comes with the physics modules, and only with them
     physics = bool(modules)
     assert run_modules(argv, tmp_path) == {"code": 0, "configparser": False, "numpy": physics,
-                                           "dataclasses": physics, "inspect": physics,
+                                           "dataclasses": dataclasses, "inspect": physics,
                                            "modules": modules}
 
 

@@ -218,7 +218,10 @@ def load_species(path: str | Path, use_calibration: bool = False) -> Species:
             raise CatalogError(
                 f"{where}: lower level {lower_label} must lie below {upper_label}")
 
-        frequency_hz = SPEED_OF_LIGHT / (lam_nm * 1e-9)
+        lam_m = lam_nm * 1e-9
+        frequency_hz = SPEED_OF_LIGHT / lam_m if lam_m > 0 else math.inf
+        if frequency_hz == math.inf:
+            raise CatalogError(f"{where}: lambda_nm {lam_nm} is too small: its frequency overflows")
         implied_hz = upper.energy_hz - lower.energy_hz
         if abs(frequency_hz - implied_hz) / frequency_hz >= FREQUENCY_CONSISTENCY_TOL:
             raise CatalogError(
@@ -227,13 +230,18 @@ def load_species(path: str | Path, use_calibration: bool = False) -> Species:
 
         mult = cal if use_calibration else 1.0
         degeneracy = round(2 * upper.J) + 1
-        if strength_key == "gamma_s":
-            gamma_s = strength * mult
-            d_au = dipole_from_gamma(gamma_s, frequency_hz, degeneracy)
-        else:
-            # cal multiplies the line strength d^2, so d scales by sqrt(cal)
-            d_au = strength * math.sqrt(mult)
-            gamma_s = gamma_from_dipole(d_au, frequency_hz, degeneracy)
+        try:
+            if strength_key == "gamma_s":
+                gamma_s = strength * mult
+                d_au = dipole_from_gamma(gamma_s, frequency_hz, degeneracy)
+            else:
+                # cal multiplies the line strength d^2, so d scales by sqrt(cal)
+                d_au = strength * math.sqrt(mult)
+                gamma_s = gamma_from_dipole(d_au, frequency_hz, degeneracy)
+        except (OverflowError, ZeroDivisionError):
+            gamma_s = d_au = math.inf
+        if not (math.isfinite(gamma_s) and math.isfinite(d_au * d_au)):
+            raise CatalogError(f"{where}: {strength_key} out of range: the line strength overflows")
         if gamma_s <= 0 or d_au <= 0:  # the conversion underflowed
             raise CatalogError(f"line {lower_label}-{upper_label}: strength must be > 0")
         lines.append(TransitionLine(lower_label, upper_label, frequency_hz, gamma_s, d_au))

@@ -11,10 +11,11 @@ weights (6-j symbols over the partner J) and resolve the sublevels of any J.
 Everything internal is in atomic units.
 
 ``_StateTerms``, built once per state, holds all three line sums and the
-state's pole table ``poles_au`` (|w_ki|): ``_StateTerms.sums`` forms the
-denominator w_ki^2 - w^2 once per call, and the pole guard check, the
-scan's guard mask and the magic search's segment edges all read
-``poles_au``.
+state's pole table ``poles_au`` (|w_ki|), which the pole guards and the
+magic search's segment edges read. ``_StateTerms.sums`` adds one line's
+term num_k / (w_ki^2 - w^2) at a time, for a float omega or a scan grid,
+in the order of numpy's ``.sum(axis=-1)`` over (points x lines), so its
+results keep the bits of that reduction.
 
 Field convention: U = -alpha * I / (2 eps0 c) with I the local
 time-averaged intensity. Hyperpolarizability O(E^4) is omitted throughout.
@@ -74,10 +75,31 @@ class MagicPoint(NamedTuple):
     bracket_m: tuple[float, float]
 
 
+def _line_sum(term, lo: int, hi: int):
+    """term(lo) + ... + term(hi - 1) in the order numpy's pairwise
+    ``.sum(axis=-1)`` adds a row: one running sum below 8 terms, 8 running
+    sums up to 128, and above that two halves split at a multiple of 8. A
+    float or an array of terms gets the bits of that reduction, 0 as +0.0."""
+    n = hi - lo
+    if n > 128:
+        mid = lo + n // 2 - n // 2 % 8
+        return _line_sum(term, lo, mid) + _line_sum(term, mid, hi)
+    total, rest = 0.0, range(lo, hi)
+    if n >= 8:
+        r = [term(k) for k in range(lo, lo + 8)]
+        for k in range(lo + 8, hi - n % 8):
+            r[(k - lo) % 8] += term(k)
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = range(hi - n % 8, hi)
+    for k in rest:
+        total += term(k)
+    return total
+
+
 class _StateTerms:
     """One state's line sums, built once per state: the pole table
-    ``poles_au`` (|w_ki|, a.u.) and the per-line numerators over
-    w_ki^2 - w^2 of the scalar, vector (J > 0) and tensor (J >= 1) sums."""
+    ``poles_au`` (|w_ki|, a.u.), and as float lists w_ki^2 and the per-line
+    numerators of the scalar, vector (J > 0) and tensor (J >= 1) sums."""
 
     def __init__(self, species: Species, state: str):
         self.J = J = species.level(state).J
@@ -91,33 +113,37 @@ class _StateTerms:
             j_partner.append(species.level(partner).J)
         omega, d2 = np.asarray(omega), np.asarray(d2)
         self.poles_au = np.abs(omega)
-        self.omega2_au = omega**2
-        self.scalar_num = 2.0 * omega * d2
+        self.omega2_au = (omega**2).tolist()
+        self.scalar_num = (2.0 * omega * d2).tolist()
         # 6-j weights of the vector (J > 0) and tensor (J >= 1) line sums
         self.vector_num = self.tensor_num = None
         if J > 0:
-            self.vector_num = np.array([(-1.0) ** round(J + jk + 1) * wigner_6j(1, 1, 1, J, jk, J)
-                                        for jk in j_partner]) * d2 * 2.0
+            self.vector_num = (np.array([(-1.0) ** round(J + jk + 1) * wigner_6j(1, 1, 1, J, jk, J)
+                                         for jk in j_partner]) * d2 * 2.0).tolist()
         if J >= 1:
-            self.tensor_num = np.array([(-1.0) ** round(J + jk) * wigner_6j(1, 2, 1, J, jk, J)
-                                        for jk in j_partner]) * d2 * 2.0 * omega
+            self.tensor_num = (np.array([(-1.0) ** round(J + jk) * wigner_6j(1, 2, 1, J, jk, J)
+                                         for jk in j_partner]) * d2 * 2.0 * omega).tolist()
 
     def sums(self, omega, sublevel: bool = False):
-        """Scalar line sum at omega (a.u., scalar or array); with ``sublevel``
-        the (scalar, vector, tensor) sums, a part the state lacks being 0."""
-        w = np.asarray(omega)[..., None]
-        denom = self.omega2_au - w**2
-        a_s = (self.scalar_num / denom).sum(axis=-1) / (3.0 * (2.0 * self.J + 1.0))
+        """Scalar line sum at omega (a.u., a float or an array); with
+        ``sublevel`` the (scalar, vector, tensor) sums, a part the state
+        lacks being 0."""
+        if not self.lines:  # numpy's empty sum: zeros shaped like omega
+            zero = np.zeros(np.shape(omega))
+            return (zero, zero, zero) if sublevel else zero
+        w2, o2, n = omega * omega, self.omega2_au, len(self.lines)
+        s, v, t = self.scalar_num, self.vector_num, self.tensor_num
+        a_s = _line_sum(lambda k: s[k] / (o2[k] - w2), 0, n) / (3.0 * (2.0 * self.J + 1.0))
         if not sublevel:
             return a_s
         J, a_v, a_t = self.J, 0.0, 0.0
-        if self.vector_num is not None:
-            a_v = math.sqrt(6.0 * J / ((J + 1.0) * (2.0 * J + 1.0))) * (
-                self.vector_num * w / denom).sum(axis=-1)
-        if self.tensor_num is not None:
+        if v is not None:
+            a_v = math.sqrt(6.0 * J / ((J + 1.0) * (2.0 * J + 1.0))) * _line_sum(
+                lambda k: v[k] * omega / (o2[k] - w2), 0, n)
+        if t is not None:
             a_t = math.sqrt(10.0 * J * (2.0 * J - 1.0)
-                            / (3.0 * (J + 1.0) * (2.0 * J + 1.0) * (2.0 * J + 3.0))) * (
-                self.tensor_num / denom).sum(axis=-1)
+                            / (3.0 * (J + 1.0) * (2.0 * J + 1.0) * (2.0 * J + 3.0))) * _line_sum(
+                lambda k: t[k] / (o2[k] - w2), 0, n)
         return a_s, a_v, a_t
 
     def alpha(self, omega, m: float | None = None, pol: Polarization | None = None):
@@ -251,8 +277,8 @@ def find_magic(species: Species, state1: str, state2: str,
         if m is not None and (abs(m) > terms.J or not float(m - terms.J).is_integer()):
             raise ValidationError(f"m = {m} is not a sublevel of J = {terms.J}")
 
-    def delta(lams):
-        omega = (SPEED_OF_LIGHT / np.atleast_1d(np.asarray(lams, dtype=float))) / HARTREE_HZ
+    def delta(lam):  # a float or an array of wavelengths
+        omega = (SPEED_OF_LIGHT / lam) / HARTREE_HZ
         return terms1.alpha(omega, m1, pol) - terms2.alpha(omega, m2, pol)
 
     # split at poles, shaving a guard margin so no sample sits on a resonance;
@@ -288,7 +314,7 @@ def find_magic(species: Species, state1: str, state2: str,
                 mid = 0.5 * (a + b)
                 if mid <= a or mid >= b:
                     break  # no representable point left between the brackets
-                fm = float(delta(mid)[0])
+                fm = float(delta(mid))
                 if fm == 0.0:
                     a = b = mid
                     break
@@ -298,7 +324,7 @@ def find_magic(species: Species, state1: str, state2: str,
                     b = mid
             root = 0.5 * (a + b)
             points.append(MagicPoint(
-                wavelength_m=root, residual_au=abs(float(delta(root)[0])), bracket_m=bracket))
+                wavelength_m=root, residual_au=abs(float(delta(root))), bracket_m=bracket))
     points.sort(key=lambda p: p.wavelength_m)
     return points
 
@@ -318,9 +344,10 @@ def scan_delta_alpha(species: Species, state1: str, state2: str,
     lams = np.geomspace(lo_m, hi_m, points)
     omega = (SPEED_OF_LIGHT / lams) / HARTREE_HZ
     keep = np.ones(lams.shape, dtype=bool)
-    for terms in (terms1, terms2):
-        for w in terms.poles_au:
-            keep &= np.abs(omega - w) / w >= POLE_GUARD
+    rel = np.empty_like(omega)  # |omega - w| / w, one pole at a time
+    for w in (*terms1.poles_au, *terms2.poles_au):
+        np.abs(np.subtract(omega, w, out=rel), out=rel)
+        keep &= np.divide(rel, w, out=rel) >= POLE_GUARD
     lams, omega = lams[keep], omega[keep]
     a1, a2 = terms1.alpha(omega), terms2.alpha(omega)
     return lams, a1, a2, a1 - a2

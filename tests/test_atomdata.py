@@ -126,6 +126,38 @@ class TestLoader:
             with pytest.raises(CatalogError, match=r"^line g-e: strength must be > 0$"):
                 load_species(write_species(tmp_path, body))
 
+    @pytest.mark.parametrize("energy, strength, calibrated, field", [
+        # d_si**2 overflows while the derived gamma is computed
+        ("6.5e14", "d_au 1e200", False, "d_au"),
+        # gamma_s times cal is inf, and so is the derived d_au
+        ("6.5e14", "gamma_s 1e300 cal 1e300", True, "gamma_s"),
+        # omega**3 underflows to 0 under gamma_s
+        ("2.99792458e-283", "gamma_s 1", False, "gamma_s"),
+        # the derived gamma is finite but d_au squared is not
+        ("1e12", "d_au 1e155", False, "d_au"),
+    ])
+    def test_overflowing_strength_names_its_field(self, tmp_path, energy, strength,
+                                                  calibrated, field):
+        lam_nm = 299792458.0 / float(energy) * 1e9
+        body = (f"level g energy_hz 0.0 J 0\nlevel e energy_hz {energy} J 1\n"
+                f"line g e lambda_nm {lam_nm!r} {strength}\n")
+        with pytest.raises(CatalogError,
+                           match=rf"^x\.lines:4: {field} out of range: the line strength overflows$"):
+            load_species(write_species(tmp_path, body), use_calibration=calibrated)
+
+    def test_calibration_overflow_is_checked_only_when_applied(self, tmp_path):
+        path = write_species(tmp_path, GOOD_BODY.replace("2.0e8", "1e300 cal 1e300"))
+        assert load_species(path).lines[0].gamma_s == 1e300
+
+    @pytest.mark.parametrize("lam", ["1e-310", "1e-320"])
+    def test_wavelength_with_infinite_frequency_rejected(self, tmp_path, lam):
+        # 1e-310 nm is subnormal in metres and 1e-320 nm is 0; the consistency
+        # check against the level energies would compare a nan and pass
+        path = write_species(tmp_path, GOOD_BODY.replace("461.2191661538", lam))
+        with pytest.raises(CatalogError, match=rf"^x\.lines:5: lambda_nm {lam} is too small: "
+                                               r"its frequency overflows$"):
+            load_species(path)
+
     def test_loading_is_deterministic(self, tmp_path):
         path = write_species(tmp_path, GOOD_BODY)
         assert load_species(path) == load_species(path)

@@ -717,6 +717,18 @@ def test_non_finite_catalog_exits_1_without_output(tmp_path, monkeypatch, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.lines"]
 
 
+def test_overflowing_catalog_strength_exits_1_with_its_location(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.lines").write_text(
+        "species X mass_kg 1e-25 I 0\nlevel g energy_hz 0 J 0\nlevel e energy_hz 6.5e14 J 1\n"
+        "line g e lambda_nm 461.2191661538 d_au 1e200\n")
+    assert run(["magic", "--species", "x.lines", "--state1", "g", "--state2", "e",
+                "--from", "700nm", "--to", "900nm", "--out", "m.json"]) == 1
+    assert capsys.readouterr().err == (
+        "magictrap: x.lines:4: d_au out of range: the line strength overflows\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.lines"]
+
+
 @pytest.mark.parametrize("argv", [
     ["cavity-spectrum", *CAVITY_ARGS, "--delta-b", "-5e6hz"],
     ["cavity-spectrum", *CAVITY_ARGS, "--from", "-40e6hz", "--to", "-1e6hz"],

@@ -5,10 +5,11 @@ import pytest
 
 from conftest import synth_species
 from magictrap.angular import CircularPolarization, LinearPolarization, wigner_6j
+from magictrap.atomdata import load_species
 from magictrap.errors import PoleError, ValidationError
-from magictrap.polarizability import (alpha_m_resolved, alpha_scalar,
-                                      differential_clock_shift, find_magic,
-                                      scan_delta_alpha, stark_shift)
+from magictrap.polarizability import (POLE_GUARD, _line_sum, alpha_m_resolved,
+                                      alpha_scalar, differential_clock_shift,
+                                      find_magic, scan_delta_alpha, stark_shift)
 
 # independent constants for closed-form oracles
 C = 299792458.0
@@ -317,3 +318,93 @@ def test_find_magic_endpoint_on_a_pole(sr87):
         w.simplefilter("error")
         pts = find_magic(sr87, "1S0", "3P0", (lam_679, 900e-9))
     assert [round(p.wavelength_m * 1e9, 1) for p in pts] == [689.5, 804.6]
+
+
+def same_bits(got, want):
+    """Bit equality of float arrays; a float ``got`` is broadcast to ``want``."""
+    got = np.broadcast_to(np.asarray(got, dtype=float), want.shape)
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [*range(21), 129, 200])
+def test_line_sum_adds_in_numpys_order(n):
+    """The per-line sum has the bits of numpy's pairwise ``.sum(axis=-1)``
+    over a (points x lines) array, for an array of omegas, a one-element
+    array and a float; the line counts reach the 8-sum and split branches."""
+    rng = np.random.default_rng(n)
+    num = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)).tolist()
+    o2 = rng.uniform(0.25, 4.0, n).tolist()
+    w = rng.uniform(0.0, 2.0, 10007)  # more than one 8192-element ufunc buffer
+
+    def per_line(omega, num=num):
+        w2 = omega * omega
+        return _line_sum(lambda k: num[k] / (o2[k] - w2), 0, n)
+
+    want = (np.array(num) / (np.array(o2) - w[:, None] ** 2)).sum(axis=-1)
+    assert same_bits(per_line(w), want)
+    assert same_bits(per_line(w[:1]), want[:1])
+    got = per_line(float(w[7]))
+    assert type(got) is float and same_bits(got, want[7])
+    # a row of -0.0 terms: numpy's sum is +0.0 (numpy 2.4), so the sum must be too
+    zeros = [-0.0] * n
+    want = (np.array(zeros) / (np.array(o2) - w[:3, None] ** 2)).sum(axis=-1)
+    assert same_bits(per_line(w[:3], zeros), want)
+    assert same_bits(per_line(float(w[0]), zeros), want[0])
+
+
+def test_find_magic_hi_on_a_pole_is_nudged_inward(sr87):
+    lam_2563 = C / next(ln.frequency_hz for ln in sr87.lines
+                        if ln.lower == "3P0" and ln.upper == "3D1")
+    import warnings as w
+    with w.catch_warnings():
+        w.simplefilter("error")
+        pts = find_magic(sr87, "1S0", "3P0", (700e-9, lam_2563))
+    assert pts == find_magic(sr87, "1S0", "3P0", (700e-9, lam_2563 * (1 - 2 * POLE_GUARD)))
+    assert pts and pts[-1].wavelength_m < lam_2563
+
+
+def test_find_magic_window_inside_one_guard_band_is_empty(sr87):
+    lam_679 = C / next(ln.frequency_hz for ln in sr87.lines
+                       if ln.lower == "3P0" and ln.upper == "3S1")
+    assert find_magic(sr87, "1S0", "3P0", (lam_679 * (1 - 1e-7), lam_679 * (1 + 1e-7))) == []
+
+
+def test_find_magic_skips_the_gap_between_two_close_poles(tmp_path):
+    """Two lines of g whose guard bands overlap leave no segment between
+    them; the roots are those of the searches on either side."""
+    e1 = 4.0e14
+    e2 = e1 * (1 + 2 * POLE_GUARD)
+    path = tmp_path / "close.lines"
+    path.write_text(
+        "species X mass_kg 1e-25 I 0\nlevel g energy_hz 0 J 0\nlevel m energy_hz 1e14 J 0\n"
+        f"level e1 energy_hz {e1!r} J 1\nlevel e2 energy_hz {e2!r} J 1\n"
+        "level u energy_hz 7e14 J 1\n"
+        f"line g e1 lambda_nm {C / e1 * 1e9!r} d_au 1\n"
+        f"line g e2 lambda_nm {C / e2 * 1e9!r} d_au 1\n"
+        f"line m u lambda_nm {C / 6e14 * 1e9!r} d_au 3\n")
+    species = load_species(path)
+    lam1, lam2 = C / e2, C / e1
+    pts = find_magic(species, "g", "m", (500e-9, 1500e-9))
+    sides = (find_magic(species, "g", "m", (500e-9, lam1 * (1 - 2 * POLE_GUARD)))
+             + find_magic(species, "g", "m", (lam2 * (1 + 2 * POLE_GUARD), 1500e-9)))
+    assert pts
+    assert [p.wavelength_m for p in pts] == pytest.approx(
+        [p.wavelength_m for p in sides], rel=1e-12)
+
+
+def test_bisection_stops_when_no_midpoint_is_left(sr87, monkeypatch):
+    """With no tolerance the bisection runs down to adjacent doubles and
+    ends there instead of looping."""
+    import magictrap.polarizability as pz
+    # the root near 689.5 nm has no exact zero of delta on the way down
+    want = find_magic(sr87, "1S0", "3P0", (650e-9, 700e-9))
+    monkeypatch.setattr(pz, "REFINE_TOL", 0.0)
+    got = find_magic(sr87, "1S0", "3P0", (650e-9, 700e-9))
+    assert len(got) == len(want) == 1
+    assert got[0].wavelength_m == pytest.approx(want[0].wavelength_m, rel=1e-15)
+    assert got[0].residual_au < 1e-6
+
+
+def test_scan_delta_alpha_identical_states_rejected(sr87):
+    with pytest.raises(ValidationError, match="identically zero"):
+        scan_delta_alpha(sr87, "3P0", "3P0", 700e-9, 900e-9, 5)

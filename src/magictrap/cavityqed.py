@@ -87,12 +87,6 @@ class DressedPair(NamedTuple):
     delta_minus: float
 
 
-class CriticalNumbers(NamedTuple):
-    n0: float                       # saturation photon number gamma^2/g0^2
-    n_atoms: float                  # critical atom number kappa gamma/g0^2
-    strong_coupling: bool
-
-
 class SteadyState(NamedTuple):
     mean_n: float
     transmission: float
@@ -121,14 +115,6 @@ def mode_volume(waist_m: float, length_m: float) -> float:
     if waist_m <= 0 or length_m <= 0:
         raise ValidationError("mode_volume: inputs must be > 0")
     return math.pi / 4.0 * waist_m**2 * length_m
-
-
-def critical_numbers(sys: CavitySystem) -> CriticalNumbers:
-    """Saturation photon number and critical atom number."""
-    n0 = sys.gamma**2 / sys.g0**2
-    n_atoms = sys.kappa * sys.gamma / sys.g0**2
-    return CriticalNumbers(n0, n_atoms,
-                           sys.g0 > sys.gamma and sys.g0 > sys.kappa)
 
 
 def dressed_transitions(sys: CavitySystem, z: float = 0.0) -> DressedPair:

@@ -551,11 +551,42 @@ def _scan_meta(species, args) -> dict:
             "state2": args.state2, "calibrated": args.calibrated}
 
 
+def _check_wavelength(flag: str, lam: float) -> None:
+    """Refuse, before a species loads, a wavelength whose square or whose
+    light's angular frequency 2 pi c / lambda squared is not a finite
+    nonzero float: the recoil and the line sums use both."""
+    from .constants import SPEED_OF_LIGHT
+    omega = TWO_PI * SPEED_OF_LIGHT / lam
+    if not (0.0 < lam * lam < math.inf and 0.0 < omega * omega < math.inf):
+        raise ValidationError(f"{flag} {lam:g} m is out of range: its square or that of "
+                              "2 pi c / lambda is not a finite nonzero number")
+
+
 def _check_window(args) -> None:
-    """Refuse a reversed or empty --from/--to window before a species loads."""
+    """Refuse an out-of-range wavelength or a reversed or empty --from/--to
+    window before a species loads."""
+    _check_wavelength("--from", args.lo)
+    _check_wavelength("--to", args.hi)
     if not args.lo < args.hi:
         raise ValidationError(f"--from {args.lo*1e9:g} nm must be below --to "
                               f"{args.hi*1e9:g} nm")
+
+
+def _angular(flag: str, hz: float) -> float:
+    """A frequency flag's value in rad/s; refused when 2 pi times it overflows."""
+    omega = TWO_PI * hz
+    if not math.isfinite(omega):
+        raise ValidationError(f"{flag} {hz:g} Hz overflows as an angular frequency")
+    return omega
+
+
+def _grid(flag: str, lo: float, hi: float, points: int, scale: float = 1.0):
+    """np.linspace(scale * lo, scale * hi, points) for a window in Hz;
+    refused when the grid's width overflows."""
+    if not math.isfinite(scale * hi - scale * lo):
+        raise ValidationError(f"{flag}: a grid from {lo:g} to {hi:g} Hz overflows")
+    import numpy as np
+    return np.linspace(scale * lo, scale * hi, points)
 
 
 def _run_polarizability(args, argv):
@@ -591,6 +622,9 @@ def _run_magic(args, argv):
 def _run_trap(args, argv):
     if sum(v is not None for v in (args.depth_erec, args.power, args.intensity)) != 1:
         raise ValidationError("give exactly one of --power, --intensity, or --depth-erec")
+    _check_wavelength("--lattice-lambda", args.lam)
+    if args.probe is not None:
+        _check_wavelength("--probe", args.probe)
     from .fieldtrap import (FieldConfig, GaussianBeam, Lattice1D, intensity_at, recoil,
                             trap_parameters)
     from .polarizability import alpha_scalar, stark_shift
@@ -630,7 +664,7 @@ def _run_clock_line(args, argv):
     from .clockspec import NU0_OFFSET_HZ, quality_factor, rabi_lineshape
     duration = args.duration
     omega = math.pi / duration if args.pi else TWO_PI * args.rabi
-    grid = np.linspace(-args.span, args.span, args.points)
+    grid = _grid("--span", -args.span, args.span, args.points)
     trace = rabi_lineshape(omega, duration, grid, args.saturation)
     nu_clock = float(NU0_OFFSET_HZ)
     if trace.fwhm_hz is None:  # e.g. Omega T = 2 pi puts a node on the carrier
@@ -662,7 +696,7 @@ def _run_sidebands(args, argv):
 
     from .clockspec import nbar_from_asymmetry, sideband_spectrum
     span = args.span if args.span is not None else 1.6 * args.nu_z
-    grid = np.linspace(-span, span, args.points)
+    grid = _grid("--span" if args.span is not None else "--nu-z", -span, span, args.points)
     trace = sideband_spectrum(args.eta, args.nu_z, args.nbar, args.width, grid)
     weights = {f.name: f.weight for f in trace.labels}
     ratio = (weights["red_sideband"] / weights["blue_sideband"]
@@ -692,9 +726,10 @@ def _run_aggregate(args, argv):
 
 def _cavity_system(args, delta_b: float = 0.0, delta_e: float = 0.0):
     from .cavityqed import CavitySystem
-    return CavitySystem(g0=TWO_PI * args.g0, kappa=TWO_PI * args.kappa,
-                        gamma=TWO_PI * args.gamma, delta_b=TWO_PI * delta_b,
-                        delta_e=TWO_PI * delta_e, n_max=args.nmax)
+    return CavitySystem(g0=_angular("--g0", args.g0), kappa=_angular("--kappa", args.kappa),
+                        gamma=_angular("--gamma", args.gamma),
+                        delta_b=_angular("--delta-b", delta_b),
+                        delta_e=_angular("--delta-e", delta_e), n_max=args.nmax)
 
 
 def _run_cavity_spectrum(args, argv):
@@ -705,13 +740,11 @@ def _run_cavity_spectrum(args, argv):
     hi = args.hi if args.hi is not None else +2.0 * args.g0
     if not lo < hi:
         raise ValidationError(f"--from {lo:g} Hz must be below --to {hi:g} Hz")
-    import numpy as np
-
     from .cavityqed import vacuum_rabi_spectrum
     sys_ = _cavity_system(args, args.delta_b, args.delta_e)
-    drive = TWO_PI * args.drive if args.drive is not None else 1e-3 * sys_.kappa
-    result = vacuum_rabi_spectrum(sys_, drive, np.linspace(TWO_PI * lo, TWO_PI * hi, args.points),
-                                  with_g2=args.g2)
+    drive = _angular("--drive", args.drive) if args.drive is not None else 1e-3 * sys_.kappa
+    grid = _grid("--from/--to", lo, hi, args.points, TWO_PI)
+    result = vacuum_rabi_spectrum(sys_, drive, grid, with_g2=args.g2)
     g2 = result.g2 if result.g2 is not None else [None] * args.points
     rows = [[w / TWO_PI, t, n, g]
             for w, t, n, g in zip(result.omega_p, result.transmission, result.mean_n, g2)]
@@ -725,7 +758,7 @@ def _run_cavity_spectrum(args, argv):
 def _run_blockade(args, argv):
     from .cavityqed import blockade_detuning, g2_zero
     sys_ = _cavity_system(args)
-    drive = TWO_PI * args.drive if args.drive is not None else 0.1 * sys_.kappa
+    drive = _angular("--drive", args.drive) if args.drive is not None else 0.1 * sys_.kappa
     lower, two_photon = -sys_.g0, -sys_.g0 / math.sqrt(2.0)
     g2_lower = g2_zero(sys_, drive, lower)
     g2_two = g2_zero(sys_, drive, two_photon)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
 # Reporting offset for absolute clock-frequency ledgers (Hz).
 NU0_OFFSET_HZ = 429_228_004_229_800
@@ -94,7 +94,7 @@ def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
     illustrative saturated-line model). The FWHM of the central feature is
     located numerically and stored on the returned trace: a walk in steps
     of 1/(4T) brackets the first half-maximum crossing right of the
-    carrier, and Brent's method (``_brent``) refines it. A numpy overflow
+    carrier, and bisection of that step refines it. A numpy overflow
     or invalid value anywhere on the way raises ``FloatingPointError``.
     """
     if omega_rabi <= 0 or duration_s <= 0:
@@ -134,66 +134,20 @@ def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
                 break
             start = his[-1] + step
         if float(prob(hi)) <= half:
-            root = _brent(lambda d: float(prob(d)) - half, hi - step, hi,
-                          xtol=1e-12 * step, rtol=1e-14)
-            fwhm = 2.0 * root
+            # P(hi - step) > half >= P(hi): bisect the walk's last step
+            a, b = hi - step, hi
+            while b - a > 1e-12 * step + 1e-14 * b:
+                mid = 0.5 * (a + b)
+                if mid <= a or mid >= b:
+                    break  # no representable point left between the ends
+                if float(prob(mid)) > half:
+                    a = mid
+                else:
+                    b = mid
+            fwhm = a + b  # twice the midpoint of the last bracket
 
     labels = (SpectralFeature("carrier", 0.0, peak),)
     return SpectrumTrace(grid, response, labels, fwhm)
-
-
-def _brent(f, a, b, xtol, rtol):
-    """Root of f on [a, b], where f(a) and f(b) differ in sign.
-
-    Brent's method with the branches and order of operations of the
-    common C ``brentq`` routine (interpolate or extrapolate, else bisect;
-    tolerance 2 delta with delta = (xtol + rtol |x|)/2; 100 iterations),
-    so its roots are bit-identical to that routine's.
-    """
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise NumericalError(f"root refinement: f({a!r}) and f({b!r}) have the same sign")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # an underflowed denominator gives an infinite step in C,
-                # which fails the test below and bisects
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise NumericalError(f"root refinement on [{a!r}, {b!r}] did not converge "
-                         "in 100 iterations")
 
 
 def quality_factor(frequency_hz: float, fwhm_hz: float) -> float:

@@ -13,7 +13,7 @@ from magictrap import cavityqed
 from magictrap.atomdata import data_dir
 from magictrap.cavityqed import (CavitySystem, TruncationWarning,
                                  blockade_detuning, coupling_g0,
-                                 critical_numbers, dressed_transitions,
+                                 dressed_transitions,
                                  g2_zero, jc_ladder, mode_volume,
                                  steady_state, vacuum_rabi_spectrum)
 from magictrap.errors import NumericalError, ValidationError
@@ -85,23 +85,6 @@ class TestGeometry:
             mode_volume(0.0, 42e-6)
         with pytest.raises(ValidationError):
             coupling_g0(1e-29, -1.0, 1e-14)
-
-
-class TestCriticalNumbers:
-    def test_strong_coupling_regime(self):
-        nums = critical_numbers(make_system())
-        assert nums.n0 == pytest.approx((2.6 / 34) ** 2, rel=1e-12)
-        assert nums.n0 == pytest.approx(0.0058, abs=3e-4)
-        assert nums.strong_coupling
-
-    def test_equal_decays_make_equal_numbers(self):
-        nums = critical_numbers(make_system(kappa=GAMMA))
-        assert nums.n0 == pytest.approx(nums.n_atoms, rel=1e-14)
-
-    def test_large_coupling_limit(self):
-        nums = critical_numbers(make_system(g0=1e4 * GAMMA))
-        assert nums.n0 < 1e-7
-        assert nums.n_atoms < 1e-7
 
 
 class TestDressedStates:

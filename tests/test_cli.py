@@ -619,6 +619,60 @@ def test_rabi_overflow_exits_2_quietly(argv, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+SR87_CLOCK_STATES = ["--species", "sr87", "--state1", "1S0", "--state2", "3P0"]
+SR87_TRAP = ["trap", "--species", "sr87", "--waist", "30um", "--depth-erec", "50"]
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--from", ["polarizability", *SR87_CLOCK_STATES, "--from", "1e-295nm", "--to", "2e-295nm",
+                "--points", "3"]),  # (2 pi c / lambda)^2 overflows
+    ("--from", ["magic", *SR87_CLOCK_STATES, "--from", "1e-295nm", "--to", "2e-295nm",
+                "--points", "3"]),
+    ("--from", ["polarizability", *SR87_CLOCK_STATES, "--from", "1e300m", "--to", "2e300m",
+                "--points", "3"]),  # lambda^2 overflows
+    ("--from", ["magic", *SR87_CLOCK_STATES, "--from", "1e300m", "--to", "2e300m",
+                "--points", "3"]),
+    ("--lattice-lambda", [*SR87_TRAP, "--lattice-lambda", "1e-295nm"]),  # lambda^2 underflows
+    ("--probe", [*SR87_TRAP, "--lattice-lambda", "813.428nm", "--probe", "1e-300m"]),
+], ids=["scan-short", "magic-short", "scan-long", "magic-long", "trap-lattice", "trap-probe"])
+def test_overflowing_wavelength_exits_1_before_the_species_loads(flag, argv, tmp_path,
+                                                                 monkeypatch):
+    proc = run_fresh(argv, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"magictrap: {flag} ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr("magictrap.atomdata.load_species",
+                        lambda *a, **k: pytest.fail("species loaded"))
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+
+
+CAVITY_RATES = ["--kappa", "4.1e6hz", "--gamma", "2.6e6hz"]
+SIDEBANDS = ["sidebands", "--eta", "0.3", "--nbar", "1", "--width", "1khz"]
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--g0", ["blockade", "--g0", "1e308hz", *CAVITY_RATES]),  # 2 pi x g0 overflows
+    ("--kappa", ["cavity-spectrum", "--g0", "34e6hz", "--kappa", "1e308hz", "--gamma", "2.6e6hz",
+                 "--points", "5"]),
+    ("--from/--to", ["cavity-spectrum", "--g0", "2e307hz", *CAVITY_RATES,
+                     "--points", "5"]),  # the default +-2 g0 window in rad/s
+    ("--from/--to", ["cavity-spectrum", "--g0", "34e6hz", *CAVITY_RATES, "--points", "5",
+                     "--from=-1e308hz", "--to", "1e308hz"]),
+    ("--span", ["clock-line", "--duration", "0.5s", "--pi", "--span", "1e308hz"]),
+    ("--span", [*SIDEBANDS, "--nu-z", "50khz", "--span", "1e308hz"]),
+    ("--nu-z", [*SIDEBANDS, "--nu-z", "1e308hz"]),  # the default span 1.6 nu_z
+], ids=["blockade-g0", "spectrum-kappa", "spectrum-default-window", "spectrum-window",
+        "clock-line-span", "sidebands-span", "sidebands-nu-z"])
+def test_overflowing_frequency_exits_with_one_line(flag, argv, tmp_path):
+    proc = run_fresh(argv, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"magictrap: {flag}")
+    assert len(proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("duration", ["1e150s", "1e-150s"])
 def test_clock_line_fwhm_keeps_significant_digits(duration, tmp_path, monkeypatch, capsys):
     """A pi pulse's FWHM is c/T, however small or large T is: the refinement

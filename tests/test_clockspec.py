@@ -9,8 +9,7 @@ from magictrap.clockspec import (AggregateResult, ClockTransition, Measurement,
                                  quality_factor, rabi_lineshape,
                                  read_measurement_ledger, sideband_spectrum,
                                  zeeman_multiplet)
-from magictrap.clockspec import _brent
-from magictrap.errors import NumericalError, ValidationError
+from magictrap.errors import ValidationError
 
 
 def pi_pulse(duration):
@@ -286,11 +285,10 @@ def test_spectrum_trace_grid_validation():
         SpectrumTrace(np.array([]), np.array([]))
 
 
-def stepwise_fwhm(omega, duration, saturation=1.0):
-    """Reference for the FWHM search: the one-step-at-a-time walk
-    hi = step, step + step, ... that rabi_lineshape evaluates in blocks."""
-    from scipy.optimize import brentq
-
+def half_crossing(omega, duration, saturation):
+    """The one-step-at-a-time walk hi = step, step + step, ... that
+    rabi_lineshape evaluates in blocks: (g, hi, step) with g = P - half
+    and g(hi - step) > 0 >= g(hi), or None when the walk reaches its limit."""
     def prob(delta_hz):
         w = 2.0 * math.pi * np.asarray(delta_hz)
         p = omega**2 / (omega**2 + w**2) * np.sin(np.sqrt(omega**2 + w**2) * duration / 2.0) ** 2
@@ -303,8 +301,26 @@ def stepwise_fwhm(omega, duration, saturation=1.0):
         hi += step
     if float(prob(hi)) > half:
         return None
-    return 2.0 * brentq(lambda d: float(prob(d)) - half, hi - step, hi,
-                        xtol=1e-12 * step, rtol=1e-14)
+    return (lambda d: float(prob(d)) - half), hi, step
+
+
+def stepwise_fwhm(omega, duration, saturation=1.0):
+    """Reference for the FWHM search: the one-step walk, then bisection of
+    its last step under the stopping rule of rabi_lineshape."""
+    found = half_crossing(omega, duration, saturation)
+    if found is None:
+        return None
+    g, hi, step = found
+    a, b = hi - step, hi
+    while b - a > 1e-12 * step + 1e-14 * b:
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        if g(mid) > 0:
+            a = mid
+        else:
+            b = mid
+    return a + b
 
 
 @pytest.mark.parametrize("omega_t,duration,saturation", [
@@ -317,68 +333,20 @@ def test_fwhm_search_matches_stepwise_walk(omega_t, duration, saturation):
     assert trace.fwhm_hz == stepwise_fwhm(omega_t / duration, duration, saturation)
 
 
-def test_brent_matches_brentq_bit_for_bit():
-    """The in-package refiner against scipy's brentq (the oracle) on seeded
-    Rabi half-crossing brackets and on generic smooth functions."""
+def test_fwhm_matches_brentq_oracle():
+    """The bisected FWHM against scipy's brentq (the oracle) run to full
+    precision on the same bracket, over seeded pulses."""
     from scipy.optimize import brentq
 
     rng = np.random.default_rng(20081)
-    compared = 0
-    while compared < 400:
+    for _ in range(400):
         duration = 10 ** rng.uniform(-3, 1)
-        # one bracket in four with Omega T so small that P and the Brent
-        # differences are subnormal, where a denominator underflows to 0
-        if compared % 4 == 3:
-            omega = 10 ** rng.uniform(-160, -150) / duration
-        else:
-            omega = rng.uniform(0.1, 6.5) * math.pi / duration
-        saturation = 10 ** rng.uniform(0, 1.2)
-
-        def prob(delta_hz):
-            w = 2.0 * math.pi * np.asarray(delta_hz)
-            p = omega**2 / (omega**2 + w**2) * np.sin(np.sqrt(omega**2 + w**2) * duration / 2.0) ** 2
-            return np.minimum(saturation * p, 1.0)
-
-        half = float(prob(0.0)) / 2.0
-        step = 1.0 / (4.0 * duration)
-        hi = step
-        while float(prob(hi)) > half and hi < 1e6 / duration:
-            hi += step
-        if float(prob(hi)) > half:
-            continue
-
-        def g(d):
-            return float(prob(d)) - half
-
-        assert _brent(g, hi - step, hi, 1e-12, 1e-14) == \
-            brentq(g, hi - step, hi, xtol=1e-12, rtol=1e-14)
-        compared += 1
-    for _ in range(300):
-        c = rng.normal(size=4)
-        r = rng.uniform(-1.0, 1.0)
-
-        def f(x):
-            return (x - r) * (c[0] + c[1] * x * x + c[2] * math.sin(3 * x)) + c[3] * (x - r) ** 3
-
-        a, b = r - rng.uniform(0.01, 3.0), r + rng.uniform(0.01, 3.0)
-        if f(a) * f(b) >= 0:
-            continue
-        xtol, rtol = 10 ** rng.uniform(-15, -3), 10 ** rng.uniform(-15, -8)
-        assert _brent(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol, rtol=rtol)
-
-
-def test_brent_endpoint_roots_and_failures():
-    # a root on an endpoint is returned as given, before any step
-    assert _brent(lambda x: x - 1.0, 1.0, 3.0, 1e-12, 1e-14) == 1.0
-    assert _brent(lambda x: x - 3.0, 1.0, 3.0, 1e-12, 1e-14) == 3.0
-    assert _brent(lambda x: 0.0, 1.0, 3.0, 1e-12, 1e-14) == 1.0
-    assert _brent(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12, 1e-14) == \
-        pytest.approx(math.sqrt(2.0), abs=1e-12)
-    with pytest.raises(NumericalError, match="same sign"):
-        _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-14)
-    # a step at 0.3 bracketed by [-1, 1e300] needs ~1000 halvings, not 100
-    with pytest.raises(NumericalError, match="100 iterations"):
-        _brent(lambda x: -1.0 if x < 0.3 else 1.0, -1.0, 1e300, 1e-12, 1e-14)
+        omega = rng.uniform(0.1, 6.5) * math.pi / duration
+        saturation = 2 ** rng.uniform(0, 4)
+        g, hi, step = half_crossing(omega, duration, saturation)
+        exact = 2 * brentq(g, hi - step, hi, xtol=1e-15 * step, rtol=8.9e-16)
+        fwhm = rabi_lineshape(omega, duration, np.array([0.0]), saturation).fwhm_hz
+        assert fwhm == pytest.approx(exact, rel=2e-12, abs=0)
 
 
 def test_carrier_node_has_no_fwhm_and_returns_quickly():

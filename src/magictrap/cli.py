@@ -49,6 +49,18 @@ UNITS = {
     "accel": {"mps2": 1.0},
 }
 
+# the quantities the physics forms from a length (a wavelength or a waist)
+# and from a frequency: each must be a finite float, nonzero for a nonzero
+# value, so no runner checks them again. Products, as float ** 2 raises
+# OverflowError; c (exact, as constants.SPEED_OF_LIGHT) is written out so
+# that converting a flag loads no physics module.
+_TWO_PI_C = TWO_PI * 299_792_458.0
+RANGES = {
+    "length": (("L^2", lambda m: m * m),
+               ("(2 pi c / L)^2", lambda m: (_TWO_PI_C / m) * (_TWO_PI_C / m))),
+    "frequency": (("2 pi f", lambda hz: TWO_PI * hz),),
+}
+
 # Size caps: each bounds the work one flag can ask for (grid points, Fock
 # levels, Zeeman lines, worker threads).
 MAX_POINTS = 1_000_000
@@ -80,8 +92,9 @@ class Flag(NamedTuple):
     "float", "half" (half-integer, '9/2' or '4.5'), "str" and "bool". Every
     number must be finite, and an "int" whole. ``low`` is the smallest
     allowed value, itself excluded when ``strict``, so a number must be
-    positive unless its entry says otherwise; ``cap`` is the largest.
-    ``default`` applies when neither argv nor the config section sets it.
+    positive unless its entry says otherwise; ``cap`` is the largest, and
+    RANGES bounds a length or a frequency. ``default`` applies when neither
+    argv nor the config section sets it.
     """
 
     name: str
@@ -131,6 +144,10 @@ class Flag(NamedTuple):
                      or (value == self.low and not self.strict))
                 and (self.cap is None or value <= self.cap)):
             raise ValidationError(f"{self.name} must be {self.allowed()}, got '{raw}'")
+        for quantity, form in RANGES.get(self.kind, ()):
+            if not math.isfinite(q := form(value)) or (q == 0.0 and value != 0.0):
+                raise ValidationError(f"{self.name} '{raw}' is out of range: {quantity} "
+                                      f"{'overflows' if q else 'underflows to 0'}")
         return int(value) if self.kind == "int" else value
 
     def allowed(self) -> str:
@@ -551,42 +568,11 @@ def _scan_meta(species, args) -> dict:
             "state2": args.state2, "calibrated": args.calibrated}
 
 
-def _check_wavelength(flag: str, lam: float) -> None:
-    """Refuse, before a species loads, a wavelength whose square or whose
-    light's angular frequency 2 pi c / lambda squared is not a finite
-    nonzero float: the recoil and the line sums use both."""
-    from .constants import SPEED_OF_LIGHT
-    omega = TWO_PI * SPEED_OF_LIGHT / lam
-    if not (0.0 < lam * lam < math.inf and 0.0 < omega * omega < math.inf):
-        raise ValidationError(f"{flag} {lam:g} m is out of range: its square or that of "
-                              "2 pi c / lambda is not a finite nonzero number")
-
-
 def _check_window(args) -> None:
-    """Refuse an out-of-range wavelength or a reversed or empty --from/--to
-    window before a species loads."""
-    _check_wavelength("--from", args.lo)
-    _check_wavelength("--to", args.hi)
+    """Refuse a reversed or empty --from/--to window before a species loads."""
     if not args.lo < args.hi:
         raise ValidationError(f"--from {args.lo*1e9:g} nm must be below --to "
                               f"{args.hi*1e9:g} nm")
-
-
-def _angular(flag: str, hz: float) -> float:
-    """A frequency flag's value in rad/s; refused when 2 pi times it overflows."""
-    omega = TWO_PI * hz
-    if not math.isfinite(omega):
-        raise ValidationError(f"{flag} {hz:g} Hz overflows as an angular frequency")
-    return omega
-
-
-def _grid(flag: str, lo: float, hi: float, points: int, scale: float = 1.0):
-    """np.linspace(scale * lo, scale * hi, points) for a window in Hz;
-    refused when the grid's width overflows."""
-    if not math.isfinite(scale * hi - scale * lo):
-        raise ValidationError(f"{flag}: a grid from {lo:g} to {hi:g} Hz overflows")
-    import numpy as np
-    return np.linspace(scale * lo, scale * hi, points)
 
 
 def _run_polarizability(args, argv):
@@ -622,20 +608,21 @@ def _run_magic(args, argv):
 def _run_trap(args, argv):
     if sum(v is not None for v in (args.depth_erec, args.power, args.intensity)) != 1:
         raise ValidationError("give exactly one of --power, --intensity, or --depth-erec")
-    _check_wavelength("--lattice-lambda", args.lam)
-    if args.probe is not None:
-        _check_wavelength("--probe", args.probe)
     from .fieldtrap import (FieldConfig, GaussianBeam, Lattice1D, intensity_at, recoil,
                             trap_parameters)
     from .polarizability import alpha_scalar, stark_shift
     species = _load(args.species)
     state, lam = args.state, args.lam
+    e_rec = recoil(species.mass_kg, lam)[0]
+    if e_rec == 0.0:  # lambda above 7.8e140 m for Sr87
+        raise ValidationError(f"--lattice-lambda {lam:g} m is out of range: the {species.name} "
+                              "recoil h^2/(2 m lambda^2) underflows to 0")
     if state is None:
         state = next(lv.label for lv in species.levels if lv.energy_hz == 0.0)
     geom = GaussianBeam(args.waist) if args.gaussian else Lattice1D(args.waist)
     alpha = alpha_scalar(species, state, lam)
     if args.depth_erec is not None:
-        depth_j = args.depth_erec * recoil(species.mass_kg, lam)[0]
+        depth_j = args.depth_erec * e_rec
     else:
         field = FieldConfig(lam, power_w=args.power, intensity_w_m2=args.intensity)
         depth_j = abs(stark_shift(alpha, intensity_at(field, geom, 0.0, 0.0)).potential_j)
@@ -664,7 +651,7 @@ def _run_clock_line(args, argv):
     from .clockspec import NU0_OFFSET_HZ, quality_factor, rabi_lineshape
     duration = args.duration
     omega = math.pi / duration if args.pi else TWO_PI * args.rabi
-    grid = _grid("--span", -args.span, args.span, args.points)
+    grid = np.linspace(-args.span, args.span, args.points)
     trace = rabi_lineshape(omega, duration, grid, args.saturation)
     nu_clock = float(NU0_OFFSET_HZ)
     if trace.fwhm_hz is None:  # e.g. Omega T = 2 pi puts a node on the carrier
@@ -696,7 +683,7 @@ def _run_sidebands(args, argv):
 
     from .clockspec import nbar_from_asymmetry, sideband_spectrum
     span = args.span if args.span is not None else 1.6 * args.nu_z
-    grid = _grid("--span" if args.span is not None else "--nu-z", -span, span, args.points)
+    grid = np.linspace(-span, span, args.points)
     trace = sideband_spectrum(args.eta, args.nu_z, args.nbar, args.width, grid)
     weights = {f.name: f.weight for f in trace.labels}
     ratio = (weights["red_sideband"] / weights["blue_sideband"]
@@ -726,24 +713,27 @@ def _run_aggregate(args, argv):
 
 def _cavity_system(args, delta_b: float = 0.0, delta_e: float = 0.0):
     from .cavityqed import CavitySystem
-    return CavitySystem(g0=_angular("--g0", args.g0), kappa=_angular("--kappa", args.kappa),
-                        gamma=_angular("--gamma", args.gamma),
-                        delta_b=_angular("--delta-b", delta_b),
-                        delta_e=_angular("--delta-e", delta_e), n_max=args.nmax)
+    return CavitySystem(g0=TWO_PI * args.g0, kappa=TWO_PI * args.kappa,
+                        gamma=TWO_PI * args.gamma, delta_b=TWO_PI * delta_b,
+                        delta_e=TWO_PI * delta_e, n_max=args.nmax)
 
 
 def _run_cavity_spectrum(args, argv):
     if args.g2 and args.nmax < 3:  # g2(0) needs 3 Fock levels
         raise ValidationError(f"--nmax must be >= 3 with --g2, got '{args.nmax}'")
-    # the probe window, after its +-2 g0 defaults, must increase; checked before numpy loads
+    # before numpy loads: the window (default +-2 g0) must increase, with a finite width in rad/s
     lo = args.lo if args.lo is not None else -2.0 * args.g0
     hi = args.hi if args.hi is not None else +2.0 * args.g0
     if not lo < hi:
         raise ValidationError(f"--from {lo:g} Hz must be below --to {hi:g} Hz")
+    if not math.isfinite(TWO_PI * hi - TWO_PI * lo):
+        raise ValidationError(f"--from/--to: a window from {lo:g} to {hi:g} Hz overflows in rad/s")
+    import numpy as np
+
     from .cavityqed import vacuum_rabi_spectrum
     sys_ = _cavity_system(args, args.delta_b, args.delta_e)
-    drive = _angular("--drive", args.drive) if args.drive is not None else 1e-3 * sys_.kappa
-    grid = _grid("--from/--to", lo, hi, args.points, TWO_PI)
+    drive = TWO_PI * args.drive if args.drive is not None else 1e-3 * sys_.kappa
+    grid = np.linspace(TWO_PI * lo, TWO_PI * hi, args.points)
     result = vacuum_rabi_spectrum(sys_, drive, grid, with_g2=args.g2)
     g2 = result.g2 if result.g2 is not None else [None] * args.points
     rows = [[w / TWO_PI, t, n, g]
@@ -758,7 +748,7 @@ def _run_cavity_spectrum(args, argv):
 def _run_blockade(args, argv):
     from .cavityqed import blockade_detuning, g2_zero
     sys_ = _cavity_system(args)
-    drive = _angular("--drive", args.drive) if args.drive is not None else 0.1 * sys_.kappa
+    drive = TWO_PI * args.drive if args.drive is not None else 0.1 * sys_.kappa
     lower, two_photon = -sys_.g0, -sys_.g0 / math.sqrt(2.0)
     g2_lower = g2_zero(sys_, drive, lower)
     g2_two = g2_zero(sys_, drive, two_photon)

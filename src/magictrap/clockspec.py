@@ -201,8 +201,9 @@ def sideband_spectrum(eta: float, nu_axial_hz: float, nbar: float,
     )
     half = carrier_width_hz / 2.0
     response = np.zeros_like(grid)
-    for f in features:
-        response += f.weight / (1.0 + ((grid - f.offset_hz) / half) ** 2)
+    with np.errstate(over="ignore"):  # a far tail's square overflows, and its term is 0
+        for f in features:
+            response += f.weight / (1.0 + ((grid - f.offset_hz) / half) ** 2)
     top = response.max() if grid.size else 0.0
     if top > 0:
         response = response / top

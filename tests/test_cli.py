@@ -634,7 +634,11 @@ SR87_TRAP = ["trap", "--species", "sr87", "--waist", "30um", "--depth-erec", "50
                 "--points", "3"]),
     ("--lattice-lambda", [*SR87_TRAP, "--lattice-lambda", "1e-295nm"]),  # lambda^2 underflows
     ("--probe", [*SR87_TRAP, "--lattice-lambda", "813.428nm", "--probe", "1e-300m"]),
-], ids=["scan-short", "magic-short", "scan-long", "magic-long", "trap-lattice", "trap-probe"])
+    ("--waist", [*SR87_TRAP, "--lattice-lambda", "813.428nm", "--waist", "1e-150m"]),
+    ("--waist", ["trap", "--species", "sr87", "--lattice-lambda", "813.428nm", "--waist", "1e200m",
+                 "--power", "1w"]),
+], ids=["scan-short", "magic-short", "scan-long", "magic-long", "trap-lattice", "trap-probe",
+        "trap-waist-short", "trap-waist-long"])
 def test_overflowing_wavelength_exits_1_before_the_species_loads(flag, argv, tmp_path,
                                                                  monkeypatch):
     proc = run_fresh(argv, tmp_path)
@@ -658,19 +662,53 @@ SIDEBANDS = ["sidebands", "--eta", "0.3", "--nbar", "1", "--width", "1khz"]
                  "--points", "5"]),
     ("--from/--to", ["cavity-spectrum", "--g0", "2e307hz", *CAVITY_RATES,
                      "--points", "5"]),  # the default +-2 g0 window in rad/s
-    ("--from/--to", ["cavity-spectrum", "--g0", "34e6hz", *CAVITY_RATES, "--points", "5",
-                     "--from=-1e308hz", "--to", "1e308hz"]),
+    ("--from", ["cavity-spectrum", "--g0", "34e6hz", *CAVITY_RATES, "--points", "5",
+                "--from=-1e308hz", "--to", "1e308hz"]),
     ("--span", ["clock-line", "--duration", "0.5s", "--pi", "--span", "1e308hz"]),
     ("--span", [*SIDEBANDS, "--nu-z", "50khz", "--span", "1e308hz"]),
     ("--nu-z", [*SIDEBANDS, "--nu-z", "1e308hz"]),  # the default span 1.6 nu_z
+    ("--g0", ["ladder", "--g0", "1e308hz", "--n", "2"]),
+    ("--delta-e", ["ladder", "--g0", "1e6hz", "--n", "2", "--delta-e", "1e308hz"]),
+    ("--dg", ["zeeman", "--dg", "1e308hz", "--field", "1mt"]),
+    # E_rec = h^2 / (2 m lambda^2) underflows to 0, found once the species loads
+    ("--lattice-lambda", [*SR87_TRAP, "--lattice-lambda", "1e150m"]),
 ], ids=["blockade-g0", "spectrum-kappa", "spectrum-default-window", "spectrum-window",
-        "clock-line-span", "sidebands-span", "sidebands-nu-z"])
+        "clock-line-span", "sidebands-span", "sidebands-nu-z", "ladder-g0", "ladder-delta-e",
+        "zeeman-dg", "trap-recoil"])
 def test_overflowing_frequency_exits_with_one_line(flag, argv, tmp_path):
     proc = run_fresh(argv, tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith(f"magictrap: {flag}")
     assert len(proc.stderr.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, name, inside, outside", [
+    ("trap", "--waist", "1.4048915207848729e-145m", "1.4048915207848727e-145m"),
+    ("trap", "--waist", "1.3407807929942596e+154m", "1.3407807929942597e+154m"),
+    ("ladder", "--delta-b", "2.861117485757028e+307hz", "2.8611174857570283e+307hz"),
+    ("ladder", "--delta-b", "-2.861117485757028e+307hz", "-2.8611174857570283e+307hz"),
+], ids=["shortest-length", "longest-length", "highest-frequency", "lowest-frequency"])
+def test_range_rules_end_at_the_documented_bounds(command, name, inside, outside):
+    """The bounds the README gives are the last floats a length or a
+    frequency may take; the next floats out are refused."""
+    flag = next(f for f in cli.COMMANDS[command].flags if f.name == name)
+    assert flag.convert(inside) == float(inside.rstrip("mhz"))
+    with pytest.raises(ValidationError) as refused:
+        flag.convert(outside)
+    assert str(refused.value).startswith(f"{name} '{outside}' is out of range: ")
+
+
+@pytest.mark.parametrize("argv", [
+    [*SIDEBANDS, "--nu-z", "1e300hz"],
+    ["sidebands", "--eta", "0.3", "--nbar", "1", "--nu-z", "50khz", "--width", "1e-300hz"],
+], ids=["far-sidebands", "narrow-features"])
+def test_sideband_tails_that_overflow_are_quietly_zero(argv, tmp_path, monkeypatch, capsys):
+    """A Lorentzian tail whose square overflows adds 0, with no RuntimeWarning
+    (pytest makes one an error)."""
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("duration", ["1e150s", "1e-150s"])

@@ -168,12 +168,18 @@ ARGV_ONLY = [
     (["clock-line", "--duration", "0.5s"], 1),
     (["cavity-spectrum", *CAVITY, "--nmax", "2", "--g2"], 1),
     (["magic", *SCAN, "--scan-out", "magic.json"], 1),
+    (["trap", "--species", "sr87", "--lattice-lambda", "813.428nm", "--waist", "1e-150m",
+      "--depth-erec", "50"], 1),  # (2 pi c / waist)^2 overflows
+    (["ladder", "--g0", "1e308hz", "--n", "2"], 1),  # 2 pi g0 overflows
+    (["cavity-spectrum", "--g0", "2e307hz", "--kappa", "2e6hz", "--gamma", "2e6hz"],
+     1),  # the default +-2 g0 window overflows in rad/s
 ]
 
 
 @pytest.mark.parametrize("argv, code", ARGV_ONLY, ids=[
     "version", "help", "magic-help", "unknown-flag", "no-unit", "missing-config",
-    "trap-depth-source", "clock-line-rabi-or-pi", "cavity-g2-nmax", "magic-scan-out"])
+    "trap-depth-source", "clock-line-rabi-or-pi", "cavity-g2-nmax", "magic-scan-out",
+    "trap-waist-range", "ladder-g0-range", "cavity-window-range"])
 def test_argv_only_paths_do_not_load_numpy(argv, code, tmp_path):
     result = run_modules(argv, tmp_path)
     assert (result["code"], result["numpy"], result["modules"]) == (code, False, [])

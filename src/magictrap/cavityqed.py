@@ -23,7 +23,9 @@ value) triples, each drive coupling up one level as at most two (column,
 value) pairs per row; the couplings down and to block -1 follow from those
 by symmetry. They are eliminated for stacks of probe points. A spectrum and
 g2_zero read block 0 alone, so a stack holds one level at a time, its s_q
-and T_q; only steady_state keeps every T_q, for rho.
+and T_q; only steady_state keeps every T_q, for rho. numpy loads with the
+first solve: the closed forms (coupling, mode volume, dressed states, the
+Jaynes-Cummings ladder) run on plain floats.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import HBAR, VACUUM_PERMITTIVITY
 from .errors import NumericalError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Fock-truncation hygiene thresholds
 TOP_FOCK_WARN = 1e-6
@@ -134,8 +137,9 @@ def dressed_transitions(sys: CavitySystem, z: float = 0.0) -> DressedPair:
     return DressedPair(half + disc, half - disc)
 
 
-def jc_ladder(sys: CavitySystem, n: int, z: float = 0.0) -> np.ndarray:
-    """Eigenvalues of the n-quanta doublet, relative to n * omega_0.
+def jc_ladder(sys: CavitySystem, n: int, z: float = 0.0) -> tuple[float, float]:
+    """Eigenvalues of the n-quanta doublet, relative to n * omega_0, lower
+    first.
 
     The 2x2 block on {|e, n-1>, |g, n>} is [[delta_e, sqrt(n) g],
     [sqrt(n) g, delta_b]]; with no Stark shifts the eigenvalues are
@@ -147,7 +151,7 @@ def jc_ladder(sys: CavitySystem, n: int, z: float = 0.0) -> np.ndarray:
     mean = 0.5 * (sys.delta_e + sys.delta_b)
     half = 0.5 * (sys.delta_e - sys.delta_b)
     disc = math.sqrt(half * half + n * g * g)
-    return np.array([mean - disc, mean + disc])
+    return mean - disc, mean + disc
 
 
 def blockade_detuning(g0: float) -> float:
@@ -164,6 +168,7 @@ def _entries(ops, rows, cols):
     sorted by row, with real H and jump operators c:
     -i (H_ik d_jl - H_lj d_ik) + sum_c (c_ik c_jl - (c'c)_ik d_jl / 2 - (c'c)_lj d_ik / 2),
     evaluated only where i reaches k and j reaches l through some operator."""
+    import numpy as np
     h, collapse, cdc, reach = ops
     (i, j), (k, l) = rows, cols
     r, c = np.nonzero(reach[i[:, None], k] & reach[j[:, None], l])
@@ -182,6 +187,7 @@ def _pairs(entries, n: int):
     values) terms, each (2, n): term e holds the e-th entry of every row, or
     column 0 and value 0 where the row has fewer. The values carry a
     trailing axis for _gather."""
+    import numpy as np
     rows, cols, vals = entries
     slot = np.arange(rows.size) - np.searchsorted(rows, rows)
     pairs = np.zeros((2, n), dtype=np.intp), np.zeros((2, n, 1), dtype=complex)
@@ -223,6 +229,7 @@ class _CoherenceBlocks:
     def __init__(self, sys: CavitySystem, drive: float, z: float, grid: np.ndarray):
         if drive < 0:
             raise ValidationError("drive amplitude must be >= 0")
+        import numpy as np
         self.sys, self.drive = sys, drive
         n_levels = sys.n_max + 1
         self.dim = 2 * n_levels
@@ -268,6 +275,7 @@ class _CoherenceBlocks:
         as transfers receives the transfer matrices T_q of x_q = T_q x_{q-1}
         for q = 1 .. n_max + 1; otherwise T_{q+1} is dropped before T_q is
         allocated, so a stack holds one level at a time."""
+        import numpy as np
         w = omega_p / self.scale
         t = ()  # nothing above the top level
         try:
@@ -316,6 +324,7 @@ class _CoherenceBlocks:
 
     def rho(self, x0: np.ndarray, transfers) -> np.ndarray:
         """The density matrix of the first probe point, by back-substitution."""
+        import numpy as np
         rho = np.zeros((self.dim, self.dim), dtype=complex)
         rho[self.pairs[0]] = x = x0[0]
         for (i, j), t in zip(self.pairs[1:], transfers):
@@ -327,6 +336,7 @@ class _CoherenceBlocks:
 def _observables(sys: CavitySystem, drive: float, pops: np.ndarray):
     """<n>, transmission and top-Fock population for rows of populations in
     basis order; each truncation warning fires once, for the worst point."""
+    import numpy as np
     mean_n = pops @ (np.arange(pops.shape[-1]) // 2)
     transmission = mean_n * (sys.kappa / drive) ** 2 if drive > 0 else 0.0 * mean_n
     top_fock = pops[..., -2] + pops[..., -1]
@@ -342,6 +352,7 @@ def _observables(sys: CavitySystem, drive: float, pops: np.ndarray):
 
 
 def _g2(pops: np.ndarray, mean_n):
+    import numpy as np
     if np.any(mean_n <= 0.0):
         raise ValidationError("g2(0) undefined: steady state holds no photons")
     photons = np.arange(pops.shape[-1]) // 2
@@ -357,6 +368,7 @@ def steady_state(sys: CavitySystem, drive: float, omega_p: float,
     truncated top Fock level is populated beyond 1e-6 or the drive pushes
     <n> past 0.1 n_max.
     """
+    import numpy as np
     grid = np.array([omega_p], dtype=float)
     blocks = _CoherenceBlocks(sys, drive, z, grid)
     transfers = []
@@ -371,6 +383,7 @@ def g2_zero(sys: CavitySystem, drive: float, omega_p: float,
     steady state. Requires n_max >= 3; undefined at zero photon number."""
     if sys.n_max < 3:
         raise ValidationError("g2_zero needs n_max >= 3")
+    import numpy as np
     grid = np.array([omega_p], dtype=float)
     blocks = _CoherenceBlocks(sys, drive, z, grid)
     pops = blocks.eliminate(grid)[0, blocks.pops].real
@@ -386,6 +399,7 @@ def vacuum_rabi_spectrum(sys: CavitySystem, drive: float, omega_p_grid,
     stacks of at least 2 probe points whose s_q and T_q fit in CHUNK_BYTES.
     Spectra need only populations: no T_q outlives its level.
     """
+    import numpy as np
     grid = np.asarray(omega_p_grid, dtype=float)
     if grid.size == 0:
         raise ValidationError("empty probe grid")

@@ -3,18 +3,21 @@ sidebands, and aggregation of absolute-frequency measurements.
 
 Detunings are ordinary frequencies in Hz; Rabi frequencies are angular
 (rad/s). Absolute clock frequencies are reported relative to the fixed
-offset NU0_OFFSET_HZ.
+offset NU0_OFFSET_HZ. numpy loads only with the spectra, which build
+arrays; the Zeeman multiplet and the ledger mean run on plain floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ValidationError
+from .pairwise import pairwise_sum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Reporting offset for absolute clock-frequency ledgers (Hz).
 NU0_OFFSET_HZ = 429_228_004_229_800
@@ -51,6 +54,7 @@ class SpectrumTrace:
     fwhm_hz: float | None = None
 
     def __post_init__(self):
+        import numpy as np
         d = np.asarray(self.detuning_hz, dtype=float)
         if d.size == 0:
             raise ValidationError("empty detuning grid")
@@ -84,7 +88,6 @@ class AggregateResult(NamedTuple):
     n: int
 
 
-@np.errstate(over="raise", invalid="raise")
 def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
                    saturation: float = 1.0) -> SpectrumTrace:
     """Excitation probability of a Rabi pulse over a detuning grid.
@@ -102,6 +105,7 @@ def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
     if not 0.0 < omega_rabi * omega_rabi < math.inf:
         raise ValidationError(f"rabi_lineshape: Omega = {omega_rabi:g} rad/s has no "
                               "finite nonzero square")
+    import numpy as np
     grid = np.asarray(detuning_hz, dtype=float)
     if grid.size == 0:
         raise ValidationError("rabi_lineshape: empty detuning grid")
@@ -113,41 +117,42 @@ def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
         p = rabi2 / (rabi2 + w**2) * np.sin(gen * duration_s / 2.0) ** 2
         return np.minimum(saturation * p, 1.0)
 
-    response = prob(grid)
-    peak = float(prob(0.0))
-    half = peak / 2.0
+    with np.errstate(over="raise", invalid="raise"):
+        response = prob(grid)
+        peak = float(prob(0.0))
+        half = peak / 2.0
 
-    # first half-crossing right of the carrier; the line is symmetric
-    fwhm = None
-    if peak > 0:
-        step = 1.0 / (4.0 * duration_s)
-        limit = 1e6 / duration_s
-        # the first hi in step, step + step, ... with P(hi) <= half or
-        # hi >= limit, tested a block at a time: with the carrier on a node
-        # (Omega T = 2 pi n) no crossing exists and the walk runs to the limit
-        start = step
-        while True:
-            his = np.add.accumulate(np.r_[start, np.full(1023, step)])
-            stop = np.flatnonzero((prob(his) <= half) | (his >= limit))
-            if stop.size:
-                hi = float(his[stop[0]])
-                break
-            start = his[-1] + step
-        if float(prob(hi)) <= half:
-            # P(hi - step) > half >= P(hi): bisect the walk's last step
-            a, b = hi - step, hi
-            while b - a > 1e-12 * step + 1e-14 * b:
-                mid = 0.5 * (a + b)
-                if mid <= a or mid >= b:
-                    break  # no representable point left between the ends
-                if float(prob(mid)) > half:
-                    a = mid
-                else:
-                    b = mid
-            fwhm = a + b  # twice the midpoint of the last bracket
+        # first half-crossing right of the carrier; the line is symmetric
+        fwhm = None
+        if peak > 0:
+            step = 1.0 / (4.0 * duration_s)
+            limit = 1e6 / duration_s
+            # the first hi in step, step + step, ... with P(hi) <= half or
+            # hi >= limit, tested a block at a time: with the carrier on a node
+            # (Omega T = 2 pi n) no crossing exists and the walk runs to the limit
+            start = step
+            while True:
+                his = np.add.accumulate(np.r_[start, np.full(1023, step)])
+                stop = np.flatnonzero((prob(his) <= half) | (his >= limit))
+                if stop.size:
+                    hi = float(his[stop[0]])
+                    break
+                start = his[-1] + step
+            if float(prob(hi)) <= half:
+                # P(hi - step) > half >= P(hi): bisect the walk's last step
+                a, b = hi - step, hi
+                while b - a > 1e-12 * step + 1e-14 * b:
+                    mid = 0.5 * (a + b)
+                    if mid <= a or mid >= b:
+                        break  # no representable point left between the ends
+                    if float(prob(mid)) > half:
+                        a = mid
+                    else:
+                        b = mid
+                fwhm = a + b  # twice the midpoint of the last bracket
 
-    labels = (SpectralFeature("carrier", 0.0, peak),)
-    return SpectrumTrace(grid, response, labels, fwhm)
+        labels = (SpectralFeature("carrier", 0.0, peak),)
+        return SpectrumTrace(grid, response, labels, fwhm)
 
 
 def quality_factor(frequency_hz: float, fwhm_hz: float) -> float:
@@ -192,6 +197,7 @@ def sideband_spectrum(eta: float, nu_axial_hz: float, nbar: float,
         raise ValidationError("nbar must be >= 0")
     if nu_axial_hz <= 0 or carrier_width_hz <= 0:
         raise ValidationError("nu_axial and carrier_width must be > 0")
+    import numpy as np
     grid = np.asarray(detuning_hz, dtype=float)
 
     features = (
@@ -222,19 +228,22 @@ def aggregate_measurements(measurements: list[Measurement]) -> AggregateResult:
     """Inverse-variance weighted mean with sigma_tot^2 = stat^2 + sys^2.
 
     A single measurement is returned as-is with the reduced chi^2 flagged
-    undefined (reported as 0).
+    undefined (reported as 0). Each sum adds in numpy's pairwise order, so
+    the results keep the bits of ``np.sum`` over the same arrays.
     """
     if not measurements:
         raise ValidationError("no measurements to aggregate")
-    values = np.array([m.value_hz for m in measurements])
-    sigmas = np.array([m.total_sigma_hz for m in measurements])
-    weights = 1.0 / sigmas**2
-    mean = float(np.sum(weights * values) / np.sum(weights))
-    sigma_mean = float(1.0 / math.sqrt(np.sum(weights)))
     n = len(measurements)
+    values = [m.value_hz for m in measurements]
+    sigmas = [m.total_sigma_hz for m in measurements]
+    weights = [1.0 / (s * s) for s in sigmas]
+    total = pairwise_sum(weights.__getitem__, 0, n)
+    mean = pairwise_sum(lambda k: weights[k] * values[k], 0, n) / total
+    sigma_mean = 1.0 / math.sqrt(total)
     if n == 1:
         return AggregateResult(mean, sigma_mean, 0.0, False, n)
-    chi2 = float(np.sum(weights * (values - mean) ** 2) / (n - 1))
+    dev = [v - mean for v in values]
+    chi2 = pairwise_sum(lambda k: weights[k] * (dev[k] * dev[k]), 0, n) / (n - 1)
     return AggregateResult(mean, sigma_mean, chi2, True, n)
 
 

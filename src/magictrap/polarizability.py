@@ -15,7 +15,9 @@ state's pole table ``poles_au`` (|w_ki|), which the pole guards and the
 magic search's segment edges read. ``_StateTerms.sums`` adds one line's
 term num_k / (w_ki^2 - w^2) at a time, for a float omega or a scan grid,
 in the order of numpy's ``.sum(axis=-1)`` over (points x lines), so its
-results keep the bits of that reduction.
+results keep the bits of that reduction. Only a scan grid and a search
+finer than DEFAULT_SCAN_POINTS load numpy: a default magic search, a single
+wavelength and a pole check run on plain floats.
 
 Field convention: U = -alpha * I / (2 eps0 c) with I the local
 time-averaged intensity. Hyperpolarizability O(E^4) is omitted throughout.
@@ -26,13 +28,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .angular import LinearPolarization, Polarization, wigner_6j
 from .atomdata import Species, TransitionLine
 from .constants import (HARTREE_HZ, PLANCK, POLARIZABILITY_AU, SPEED_OF_LIGHT,
                         VACUUM_PERMITTIVITY)
 from .errors import PoleError, ValidationError
+from .pairwise import pairwise_sum
 
 # Relative detuning below which a requested wavelength is rejected as
 # sitting on a catalog resonance.
@@ -44,6 +45,9 @@ POLE_GUARD = 1e-7
 # |delta alpha| below 1e-6 a.u.
 REFINE_TOL = 4e-16
 
+# Magic searches of at most this many grid points (every default search)
+# evaluate their grid a point at a time on floats; finer ones load numpy and
+# evaluate it in one call, with the same bits.
 DEFAULT_SCAN_POINTS = 2000
 
 
@@ -75,27 +79,6 @@ class MagicPoint(NamedTuple):
     bracket_m: tuple[float, float]
 
 
-def _line_sum(term, lo: int, hi: int):
-    """term(lo) + ... + term(hi - 1) in the order numpy's pairwise
-    ``.sum(axis=-1)`` adds a row: one running sum below 8 terms, 8 running
-    sums up to 128, and above that two halves split at a multiple of 8. A
-    float or an array of terms gets the bits of that reduction, 0 as +0.0."""
-    n = hi - lo
-    if n > 128:
-        mid = lo + n // 2 - n // 2 % 8
-        return _line_sum(term, lo, mid) + _line_sum(term, mid, hi)
-    total, rest = 0.0, range(lo, hi)
-    if n >= 8:
-        r = [term(k) for k in range(lo, lo + 8)]
-        for k in range(lo + 8, hi - n % 8):
-            r[(k - lo) % 8] += term(k)
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        rest = range(hi - n % 8, hi)
-    for k in rest:
-        total += term(k)
-    return total
-
-
 class _StateTerms:
     """One state's line sums, built once per state: the pole table
     ``poles_au`` (|w_ki|, a.u.), and as float lists w_ki^2 and the per-line
@@ -111,38 +94,38 @@ class _StateTerms:
             d2.append(ln.d_au**2)
             partner = ln.upper if ln.lower == state else ln.lower
             j_partner.append(species.level(partner).J)
-        omega, d2 = np.asarray(omega), np.asarray(d2)
-        self.poles_au = np.abs(omega)
-        self.omega2_au = (omega**2).tolist()
-        self.scalar_num = (2.0 * omega * d2).tolist()
+        self.poles_au = [abs(w) for w in omega]
+        self.omega2_au = [w * w for w in omega]
+        self.scalar_num = [2.0 * w * d for w, d in zip(omega, d2)]
         # 6-j weights of the vector (J > 0) and tensor (J >= 1) line sums
         self.vector_num = self.tensor_num = None
         if J > 0:
-            self.vector_num = (np.array([(-1.0) ** round(J + jk + 1) * wigner_6j(1, 1, 1, J, jk, J)
-                                         for jk in j_partner]) * d2 * 2.0).tolist()
+            self.vector_num = [(-1.0) ** round(J + jk + 1) * wigner_6j(1, 1, 1, J, jk, J) * d * 2.0
+                               for jk, d in zip(j_partner, d2)]
         if J >= 1:
-            self.tensor_num = (np.array([(-1.0) ** round(J + jk) * wigner_6j(1, 2, 1, J, jk, J)
-                                         for jk in j_partner]) * d2 * 2.0 * omega).tolist()
+            self.tensor_num = [(-1.0) ** round(J + jk) * wigner_6j(1, 2, 1, J, jk, J) * d * 2.0 * w
+                               for jk, d, w in zip(j_partner, d2, omega)]
 
     def sums(self, omega, sublevel: bool = False):
         """Scalar line sum at omega (a.u., a float or an array); with
         ``sublevel`` the (scalar, vector, tensor) sums, a part the state
         lacks being 0."""
         if not self.lines:  # numpy's empty sum: zeros shaped like omega
+            import numpy as np
             zero = np.zeros(np.shape(omega))
             return (zero, zero, zero) if sublevel else zero
         w2, o2, n = omega * omega, self.omega2_au, len(self.lines)
         s, v, t = self.scalar_num, self.vector_num, self.tensor_num
-        a_s = _line_sum(lambda k: s[k] / (o2[k] - w2), 0, n) / (3.0 * (2.0 * self.J + 1.0))
+        a_s = pairwise_sum(lambda k: s[k] / (o2[k] - w2), 0, n) / (3.0 * (2.0 * self.J + 1.0))
         if not sublevel:
             return a_s
         J, a_v, a_t = self.J, 0.0, 0.0
         if v is not None:
-            a_v = math.sqrt(6.0 * J / ((J + 1.0) * (2.0 * J + 1.0))) * _line_sum(
+            a_v = math.sqrt(6.0 * J / ((J + 1.0) * (2.0 * J + 1.0))) * pairwise_sum(
                 lambda k: v[k] * omega / (o2[k] - w2), 0, n)
         if t is not None:
             a_t = math.sqrt(10.0 * J * (2.0 * J - 1.0)
-                            / (3.0 * (J + 1.0) * (2.0 * J + 1.0) * (2.0 * J + 3.0))) * _line_sum(
+                            / (3.0 * (J + 1.0) * (2.0 * J + 1.0) * (2.0 * J + 3.0))) * pairwise_sum(
                 lambda k: t[k] / (o2[k] - w2), 0, n)
         return a_s, a_v, a_t
 
@@ -161,8 +144,8 @@ def _terms_at(species: Species, state: str, wavelength_m: float):
         raise ValidationError("wavelength must be > 0")
     omega = (SPEED_OF_LIGHT / wavelength_m) / HARTREE_HZ
     if terms.lines:
-        rel = np.abs(omega - terms.poles_au) / terms.poles_au
-        hit = int(np.argmin(rel))
+        rel = [abs(omega - p) / p for p in terms.poles_au]
+        hit = min(range(len(rel)), key=rel.__getitem__)
         if rel[hit] < POLE_GUARD:
             ln = terms.lines[hit]
             raise PoleError(
@@ -248,6 +231,18 @@ def differential_clock_shift(species: Species, state1: str, state2: str,
     return -diff_si * intensity_w_m2 / (2.0 * VACUUM_PERMITTIVITY * SPEED_OF_LIGHT * PLANCK)
 
 
+def _log_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 points from lo to hi spaced as np.geomspace spaces them: the
+    exponents of np.linspace from log10(lo) to log10(hi), each raised by
+    Python's ``**``, with both ends exact. Its bits do not depend on numpy's
+    SIMD kernels."""
+    a = math.log10(lo)
+    step = (math.log10(hi) - a) / (n - 1)
+    grid = [10.0 ** (k * step + a) for k in range(n)]
+    grid[0], grid[-1] = lo, hi
+    return grid
+
+
 def find_magic(species: Species, state1: str, state2: str,
                search: tuple[float, float],
                pol: Polarization | None = None,
@@ -260,9 +255,11 @@ def find_magic(species: Species, state1: str, state2: str,
     ``m1``/``m2`` (with ``pol``) resolves those sublevels instead, for any J
     (an m that is not a sublevel of its state is rejected). The interval is
     split at every catalog pole of either state; each pole-free segment is
-    scanned on a log-spaced grid and sign changes are bisected to a relative
-    wavelength tolerance of REFINE_TOL (well inside the documented 1e-9). An
-    empty list means no crossing; identical states are rejected.
+    scanned on a log-spaced grid (``_log_grid``; a point at a time up to
+    DEFAULT_SCAN_POINTS points, above that in one numpy call with the same
+    bits) and sign changes are bisected to a relative wavelength tolerance
+    of REFINE_TOL (well inside the documented 1e-9). An empty list means no
+    crossing; identical states are rejected.
     """
     if state1 == state2:
         raise ValidationError("state1 = state2: difference is identically zero")
@@ -303,11 +300,18 @@ def find_magic(species: Species, state1: str, state2: str,
         if seg_hi <= seg_lo:
             continue
         n = max(8, int(round(grid_points * math.log(seg_hi / seg_lo) / math.log(hi / lo))))
-        grid = np.geomspace(seg_lo, seg_hi, n)
-        values = delta(grid)
-        sign = np.sign(values)
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            a, b = float(grid[i]), float(grid[i + 1])
+        grid = _log_grid(seg_lo, seg_hi, n)
+        if grid_points <= DEFAULT_SCAN_POINTS:
+            values = [delta(lam) for lam in grid]
+            steps = [i for i in range(n - 1)
+                     if values[i] < 0 < values[i + 1] or values[i + 1] < 0 < values[i]]
+        else:
+            import numpy as np
+            values = delta(np.array(grid))
+            sign = np.sign(values)
+            steps = np.nonzero(sign[:-1] * sign[1:] < 0)[0].tolist()
+        for i in steps:  # each step whose ends have opposite signs
+            a, b = grid[i], grid[i + 1]
             fa = float(values[i])
             bracket = (a, b)
             while (b - a) / b > REFINE_TOL:
@@ -340,6 +344,8 @@ def scan_delta_alpha(species: Species, state1: str, state2: str,
         raise ValidationError("state1 = state2: difference is identically zero")
     if not (0 < lo_m < hi_m):
         raise ValidationError(f"bad scan interval ({lo_m}, {hi_m})")
+    import numpy as np
+
     terms1, terms2 = _StateTerms(species, state1), _StateTerms(species, state2)
     lams = np.geomspace(lo_m, hi_m, points)
     omega = (SPEED_OF_LIGHT / lams) / HARTREE_HZ

@@ -481,7 +481,7 @@ class TestGridSolver:
     def test_singular_solve_is_a_numerical_error(self, monkeypatch):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
-        monkeypatch.setattr(cavityqed.np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(NumericalError, match="singular Liouvillian"):
             steady_state(make_system(), 0.01 * KAPPA, 0.0)
         with pytest.raises(NumericalError, match="singular Liouvillian"):

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import magictrap.cavityqed as cavityqed
 import magictrap.cli as cli
 import magictrap.clockspec as clockspec
 from magictrap.angular import CircularPolarization
@@ -216,7 +215,7 @@ class TestExitCodes:
                                                               monkeypatch):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
-        monkeypatch.setattr(cavityqed.np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "solve", singular)
         monkeypatch.chdir(tmp_path)
         assert run([*command, "--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz",
                     "--nmax", "4", "--out", "out.csv"]) == 2
@@ -672,10 +671,32 @@ SIDEBANDS = ["sidebands", "--eta", "0.3", "--nbar", "1", "--width", "1khz"]
     ("--dg", ["zeeman", "--dg", "1e308hz", "--field", "1mt"]),
     # E_rec = h^2 / (2 m lambda^2) underflows to 0, found once the species loads
     ("--lattice-lambda", [*SR87_TRAP, "--lattice-lambda", "1e150m"]),
+    # half the shift difference in rad/s, squared
+    ("--delta-e/--delta-b", ["ladder", "--g0", "1e6hz", "--n", "2",
+                             "--delta-b=2.861117485757028e+307hz"]),
+    ("--g0/--n/--delta-e/--delta-b", ["ladder", "--g0", "1e200hz", "--n", "2"]),  # n g^2
+    ("--g0/--n/--delta-e/--delta-b", ["ladder", "--g0", "1e6hz", "--n", "2", "--delta-e",
+                                      "2.8e307hz", "--delta-b", "2.8e307hz"]),  # their sum
 ], ids=["blockade-g0", "spectrum-kappa", "spectrum-default-window", "spectrum-window",
         "clock-line-span", "sidebands-span", "sidebands-nu-z", "ladder-g0", "ladder-delta-e",
-        "zeeman-dg", "trap-recoil"])
+        "zeeman-dg", "trap-recoil", "ladder-shift-pair", "ladder-coupling", "ladder-shift-sum"])
 def test_overflowing_frequency_exits_with_one_line(flag, argv, tmp_path):
+    assert_one_line_refusal(flag, argv, tmp_path)
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--span/--points", ["clock-line", "--duration", "0.5s", "--pi", "--span", "1e-320hz",
+                         "--points", "1000000"]),
+    ("--span/--points", [*SIDEBANDS, "--nu-z", "50khz", "--span", "1e-320hz",
+                         "--points", "100000"]),
+    ("--nu-z/--points", [*SIDEBANDS, "--nu-z", "1e-320hz", "--points", "100000"]),
+], ids=["clock-line-span", "sidebands-span", "sidebands-nu-z"])
+def test_too_narrow_span_exits_with_one_line(flag, argv, tmp_path):
+    # a subnormal half-span over many points repeats detunings
+    assert_one_line_refusal(flag, argv, tmp_path)
+
+
+def assert_one_line_refusal(flag, argv, tmp_path):
     proc = run_fresh(argv, tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith(f"magictrap: {flag}")

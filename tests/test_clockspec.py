@@ -250,6 +250,22 @@ class TestAggregate:
         assert big.mean_hz == pytest.approx(base.mean_hz, rel=1e-14)
         assert big.sigma_mean_hz == pytest.approx(3 * base.sigma_mean_hz, rel=1e-14)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_numpy_sums_bit_for_bit(self, seed):
+        """The float sums keep the bits of the numpy formula, also past the
+        8-term blocks of numpy's pairwise sum."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 41))
+        records = [meas(f"s{k}", float(v), float(a), float(b)) for k, (v, a, b) in enumerate(zip(
+            rng.uniform(-100.0, 100.0, n), 10.0 ** rng.uniform(-2, 1, n),
+            10.0 ** rng.uniform(-2, 1, n)))]
+        values = np.array([m.value_hz for m in records])
+        weights = 1.0 / np.array([m.total_sigma_hz for m in records]) ** 2
+        mean = float(np.sum(weights * values) / np.sum(weights))
+        chi2 = float(np.sum(weights * (values - mean) ** 2) / (n - 1)) if n > 1 else 0.0
+        result = aggregate_measurements(records)
+        assert result == (mean, float(1.0 / math.sqrt(np.sum(weights))), chi2, n > 1, n)
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             aggregate_measurements([])

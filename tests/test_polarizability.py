@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import magictrap.polarizability as polarizability
 from conftest import synth_species
 from magictrap.angular import CircularPolarization, LinearPolarization, wigner_6j
-from magictrap.atomdata import load_species
+from magictrap.atomdata import bundled_species_path, load_species
 from magictrap.errors import PoleError, ValidationError
-from magictrap.polarizability import (POLE_GUARD, _line_sum, alpha_m_resolved,
+from magictrap.pairwise import pairwise_sum
+from magictrap.polarizability import (POLE_GUARD, _log_grid, alpha_m_resolved,
                                       alpha_scalar, differential_clock_shift,
                                       find_magic, scan_delta_alpha, stark_shift)
 
@@ -338,7 +340,7 @@ def test_line_sum_adds_in_numpys_order(n):
 
     def per_line(omega, num=num):
         w2 = omega * omega
-        return _line_sum(lambda k: num[k] / (o2[k] - w2), 0, n)
+        return pairwise_sum(lambda k: num[k] / (o2[k] - w2), 0, n)
 
     want = (np.array(num) / (np.array(o2) - w[:, None] ** 2)).sum(axis=-1)
     assert same_bits(per_line(w), want)
@@ -350,6 +352,42 @@ def test_line_sum_adds_in_numpys_order(n):
     want = (np.array(zeros) / (np.array(o2) - w[:3, None] ** 2)).sum(axis=-1)
     assert same_bits(per_line(w[:3], zeros), want)
     assert same_bits(per_line(float(w[0]), zeros), want[0])
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (300e-9, 3000e-9, 2000), (700e-9, 900e-9, 8), (689.448e-9, 689.449e-9, 9),
+    (1e-7, 1e2, 100001), (813.4e-9, 813.4000000001e-9, 17)])
+def test_log_grid_is_linspace_exponents_raised_by_python(lo, hi, n):
+    """np.geomspace's exponents, each raised by Python's ``**`` (libm's pow,
+    not numpy's SIMD kernel), with both ends exact."""
+    exponents = np.linspace(math.log10(lo), math.log10(hi), n)
+    want = [lo, *(10.0 ** float(y) for y in exponents[1:-1]), hi]
+    got = _log_grid(lo, hi, n)
+    assert all(type(x) is float for x in got)
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["sr87", "sr88"])
+@pytest.mark.parametrize("states", [("1S0", "3P0", None, None), ("1S0", "3P1", 0, 1),
+                                    ("1S0", "3P2", 0, -2)], ids=["scalar", "3P1-m1", "3P2-m-2"])
+@pytest.mark.parametrize("points", [800, 2000, 2600])
+def test_find_magic_branches_give_the_same_points(name, states, points, monkeypatch):
+    """A search evaluated a point at a time and one evaluated in one numpy
+    call give identical MagicPoints, for scalar and sublevel crossings."""
+    species = load_species(bundled_species_path(name))
+    state1, state2, m1, m2 = states
+    pol = CircularPolarization(+1) if m1 is not None else None
+
+    def search():
+        return find_magic(species, state1, state2, (400e-9, 2000e-9), pol=pol,
+                          grid_points=points, m1=m1, m2=m2)
+
+    monkeypatch.setattr(polarizability, "DEFAULT_SCAN_POINTS", 10**9)  # point by point
+    floats = search()
+    monkeypatch.setattr(polarizability, "DEFAULT_SCAN_POINTS", 0)  # one numpy call
+    arrays = search()
+    assert floats  # each search crosses
+    assert repr(floats) == repr(arrays)
 
 
 def test_find_magic_hi_on_a_pole_is_nudged_inward(sr87):

@@ -2,7 +2,8 @@
 an oracle, and no command loads a worker pool (``concurrent.*`` or
 ``multiprocessing``), also when a large table is written block by block.
 Each subcommand imports only the physics modules it runs, and numpy only
-with them, so version, help and usage errors never load it. The parser
+where it builds an array (a scan, a spectrum, a cavity solve), so version,
+help, usage errors and the float-only commands never load it. The parser
 gives flags only to the subcommand being run, so help must still show them.
 
 Each check runs in a fresh interpreter, so modules imported by other tests
@@ -117,24 +118,26 @@ print(json.dumps({"code": code, "configparser": "configparser" in sys.modules,
 SCAN = ["--species", "sr87", "--state1", "1S0", "--state2", "3P0",
         "--from", "700nm", "--to", "900nm", "--points", "5"]
 CAVITY = ["--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz"]
-ATOM = ["angular", "atomdata", "constants", "polarizability"]
-# each argv, the magictrap modules it loads and whether it loads dataclasses,
-# which only the modules with a checked frozen dataclass import
+ATOM = ["angular", "atomdata", "constants", "pairwise", "polarizability"]
+CLOCK = ["clockspec", "pairwise"]
+# each argv, the magictrap modules it loads, whether it loads dataclasses,
+# which only the modules with a checked frozen dataclass import, and whether
+# it loads numpy, which only the commands that build an array import
 LOADS = [
-    (["--version"], [], False),
-    (["polarizability", *SCAN], sorted([*ATOM, "floattext"]), False),  # a float-array table
-    (["magic", *SCAN], ATOM, False),
+    (["--version"], [], False, False),
+    (["polarizability", *SCAN], sorted([*ATOM, "floattext"]), False, True),  # a float table
+    (["magic", *SCAN], ATOM, False, False),
     (["trap", "--species", "sr87", "--lattice-lambda", "813.428nm", "--waist", "30um",
-      "--depth-erec", "50"], sorted([*ATOM, "fieldtrap"]), True),
-    (["clock-line", "--duration", "0.5s", "--pi"], ["clockspec", "floattext"], True),
-    (["zeeman", "--dg", "108.4hz", "--field", "1e-4t"], ["clockspec"], True),
+      "--depth-erec", "50"], sorted([*ATOM, "fieldtrap"]), True, False),
+    (["clock-line", "--duration", "0.5s", "--pi"], sorted([*CLOCK, "floattext"]), True, True),
+    (["zeeman", "--dg", "108.4hz", "--field", "1e-4t"], CLOCK, True, False),
     (["sidebands", "--eta", "0.31", "--nu-z", "49khz", "--nbar", "1", "--width", "3khz",
-      "--points", "11"], ["clockspec", "floattext"], True),
-    (["aggregate", str(data_dir() / "sr87_measurements.csv")], ["clockspec"], True),
+      "--points", "11"], sorted([*CLOCK, "floattext"]), True, True),
+    (["aggregate", str(data_dir() / "sr87_measurements.csv")], CLOCK, True, False),
     (["cavity-spectrum", *CAVITY, "--nmax", "3", "--points", "5", "--g2"],
-     ["cavityqed", "constants"], True),
-    (["blockade", *CAVITY, "--nmax", "4"], ["cavityqed", "constants"], True),
-    (["ladder", "--g0", "1e6hz", "--n", "2"], ["cavityqed", "constants"], True),
+     ["cavityqed", "constants"], True, True),
+    (["blockade", *CAVITY, "--nmax", "4"], ["cavityqed", "constants"], True, True),
+    (["ladder", "--g0", "1e6hz", "--n", "2"], ["cavityqed", "constants"], True, False),
 ]
 
 
@@ -145,14 +148,13 @@ def run_modules(argv, cwd):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv, modules, dataclasses", LOADS,
-                         ids=[argv[0] for argv, _, _ in LOADS])
-def test_each_command_loads_only_its_own_modules(argv, modules, dataclasses, tmp_path):
-    # numpy (with inspect) comes with the physics modules, and only with them
-    physics = bool(modules)
-    assert run_modules(argv, tmp_path) == {"code": 0, "configparser": False, "numpy": physics,
-                                           "dataclasses": dataclasses, "inspect": physics,
-                                           "modules": modules}
+@pytest.mark.parametrize("argv, modules, dataclasses, numpy", LOADS,
+                         ids=[argv[0] for argv, *_ in LOADS])
+def test_each_command_loads_only_its_own_modules(argv, modules, dataclasses, numpy, tmp_path):
+    # inspect comes with numpy or dataclasses, and only with them
+    assert run_modules(argv, tmp_path) == {"code": 0, "configparser": False, "numpy": numpy,
+                                           "dataclasses": dataclasses,
+                                           "inspect": numpy or dataclasses, "modules": modules}
 
 
 # argv that ends before any runner computes: help, and each usage error
@@ -190,7 +192,7 @@ def test_configparser_loads_only_with_config(tmp_path):
     (tmp_path / "run.ini").write_text("[cavity]\nkappa = 2e6hz\ngamma = 2e6hz\n")
     result = run_modules(["ladder", "--g0", "1e6hz", "--n", "2", "--config", "run.ini"],
                          tmp_path)
-    assert result == {"code": 0, "configparser": True, "numpy": True, "dataclasses": True,
+    assert result == {"code": 0, "configparser": True, "numpy": False, "dataclasses": True,
                       "inspect": True, "modules": ["cavityqed", "constants"]}
 
 

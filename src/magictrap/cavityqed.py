@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import HBAR, VACUUM_PERMITTIVITY
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, checked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,8 +51,8 @@ class TruncationWarning(UserWarning):
     """Steady state is leaking into the top Fock level."""
 
 
-@dataclass(frozen=True)
-class CavitySystem:
+@checked
+class CavitySystem(NamedTuple):
     g0: float                       # rad/s, single-photon coupling at an antinode
     kappa: float                    # rad/s, cavity field decay (HWHM)
     gamma: float                    # rad/s, atomic decay to non-cavity modes (HWHM)
@@ -62,7 +61,7 @@ class CavitySystem:
     n_max: int = 5                  # Fock truncation (>= 2)
     mode_wavelength_m: float | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.g0 <= 0 or self.kappa <= 0 or self.gamma <= 0:
             raise ValidationError("g0, kappa, gamma must all be > 0")
         if self.n_max < 2:
@@ -148,7 +147,7 @@ def jc_ladder(sys: CavitySystem, n: int, z: float = 0.0) -> tuple[float, float]:
     if not 1 <= n <= sys.n_max:
         raise ValidationError(f"manifold n={n} outside 1..n_max={sys.n_max}")
     g = sys.g_at(z)
-    mean = 0.5 * (sys.delta_e + sys.delta_b)
+    mean = 0.5 * sys.delta_e + 0.5 * sys.delta_b  # finite where both shifts are
     half = 0.5 * (sys.delta_e - sys.delta_b)
     disc = math.sqrt(half * half + n * g * g)
     return mean - disc, mean + disc

@@ -13,13 +13,10 @@ table, so a runner only sees checked SI values, never raw text.
 Each run loads only what its subcommand uses: a runner imports its physics
 module when called, and ``build_parser`` gives flags to the one subcommand
 argv names. numpy loads only where a run builds an array: ``polarizability``,
-``magic`` with ``--scan-out`` or more than 2000 ``--points``, ``clock-line``,
-``sidebands``, ``cavity-spectrum`` and ``blockade``. ``--version``,
-``--help``, usage errors, a default ``magic`` search, ``trap``, ``zeeman``,
-``aggregate`` and ``ladder`` never import it: in a fresh process the last
-five took 70-92 ms against 138-183 ms when they loaded numpy (medians of
-21 alternating runs in each of two rounds, 2-core x86-64 VM, Python
-3.11.7, numpy 2.4.6).
+``magic`` with ``--scan-out``, ``magic``, ``clock-line`` and ``sidebands``
+with more than 2000 ``--points`` (or an FWHM walk past its first 1024 steps),
+``cavity-spectrum`` and ``blockade``. Every other run computes on Python
+floats with the bits numpy would give, and no run imports ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -649,23 +646,48 @@ def _run_trap(args, argv):
                    {"species": species.name, "state": state}, *summary)
 
 
-def _detuning_grid(span: float, points: int, flags: str) -> np.ndarray:
-    """``points`` detunings from -span to +span, refused in one line naming
-    ``flags`` where a step does not increase (a subnormal span spread over
-    many points rounds steps to 0)."""
-    import numpy as np
-    grid = np.linspace(-span, span, points)
-    if not np.all(np.diff(grid) > 0):
+# grids of at most this many points are built and evaluated on Python
+# floats, larger ones in numpy, with the same bits
+_FLOAT_POINTS = 2000
+
+
+def _detuning_grid(span: float, points: int, flags: str) -> list[float] | np.ndarray:
+    """``points`` detunings from -span to +span, as ``np.linspace(-span,
+    span, points)`` spaces them: up to _FLOAT_POINTS points a list of
+    floats k * step - span with the last point exact, as numpy computes
+    them, above that the array. Refused in one line naming ``flags`` where
+    a step does not increase (a subnormal span spread over many points
+    rounds steps to 0; where the step itself is 0, numpy scales k / (points
+    - 1) by the width instead, which repeats points too)."""
+    if points > _FLOAT_POINTS:
+        import numpy as np
+        grid = np.linspace(-span, span, points)
+        increasing = np.all(np.diff(grid) > 0)
+    else:
+        step = (span - -span) / max(points - 1, 1)
+        grid = [k * step - span for k in range(points)]
+        if points > 1:
+            grid[-1] = span
+        increasing = all(a < b for a, b in zip(grid, grid[1:]))
+    if not increasing:
         raise ValidationError(f"{flags}: a span of +-{span:g} Hz is too narrow for {points} "
                               "increasing points")
     return grid
 
 
+def _trace_rows(trace) -> list | np.ndarray:
+    """A spectrum's (detuning, value) rows: pairs of floats, which emit
+    writes a cell at a time, or for an array grid the float table, which it
+    writes in blocks."""
+    if isinstance(trace.detuning_hz, list):
+        return list(zip(trace.detuning_hz, trace.response))
+    import numpy as np
+    return np.column_stack((trace.detuning_hz, trace.response))
+
+
 def _run_clock_line(args, argv):
     if args.pi == (args.rabi is not None):
         raise ValidationError("give exactly one of --rabi or --pi")
-    import numpy as np
-
     from .clockspec import NU0_OFFSET_HZ, quality_factor, rabi_lineshape
     duration = args.duration
     omega = math.pi / duration if args.pi else TWO_PI * args.rabi
@@ -681,8 +703,7 @@ def _run_clock_line(args, argv):
     if args.observed_width is not None:
         summary.append(f"Q at observed width {args.observed_width:g} Hz: "
                        f"{quality_factor(nu_clock, args.observed_width):.3e}")
-    return _finish(args, argv, ["detuning_hz", "excitation"],
-                   np.column_stack((trace.detuning_hz, trace.response)),
+    return _finish(args, argv, ["detuning_hz", "excitation"], _trace_rows(trace),
                    {"omega_rad_s": omega, "duration_s": duration}, *summary)
 
 
@@ -697,8 +718,6 @@ def _run_zeeman(args, argv):
 
 
 def _run_sidebands(args, argv):
-    import numpy as np
-
     from .clockspec import nbar_from_asymmetry, sideband_spectrum
     span = args.span if args.span is not None else 1.6 * args.nu_z
     grid = _detuning_grid(span, args.points,
@@ -708,7 +727,7 @@ def _run_sidebands(args, argv):
     ratio = (weights["red_sideband"] / weights["blue_sideband"]
              if weights["blue_sideband"] > 0 else 0.0)
     return _finish(args, argv, ["detuning_hz", "amplitude"],
-                   np.column_stack((trace.detuning_hz, trace.response)),
+                   _trace_rows(trace),
                    {"eta": args.eta, "nbar": args.nbar, "nu_z_hz": args.nu_z},
                    "features: " + ", ".join(f"{f.name}@{f.offset_hz:+g} Hz (w={f.weight:.4g})"
                                             for f in trace.labels),
@@ -795,7 +814,7 @@ def _run_ladder(args, argv):
                         delta_b=TWO_PI * args.delta_b, delta_e=TWO_PI * args.delta_e,
                         n_max=max(n, 2))
     lower, upper = (offset / TWO_PI for offset in jc_ladder(sys_, n))
-    if not (math.isfinite(lower) and math.isfinite(upper)):  # n g^2 or the shifts' sum
+    if not (math.isfinite(lower) and math.isfinite(upper)):  # n g^2, or the mean shift and root
         raise ValidationError(f"--g0/--n/--delta-e/--delta-b: the manifold n={n} offsets "
                               "overflow")
     return _finish(args, argv, ["branch", "offset_hz"], [["lower", lower], ["upper", upper]],

@@ -3,17 +3,19 @@ sidebands, and aggregation of absolute-frequency measurements.
 
 Detunings are ordinary frequencies in Hz; Rabi frequencies are angular
 (rad/s). Absolute clock frequencies are reported relative to the fixed
-offset NU0_OFFSET_HZ. numpy loads only with the spectra, which build
-arrays; the Zeeman multiplet and the ledger mean run on plain floats.
+offset NU0_OFFSET_HZ. Each lineshape is one formula for a float or an
+array: a detuning grid given as a list is evaluated a point at a time on
+Python floats and returned as lists, any other grid in numpy, with the
+same bits. The Zeeman multiplet and the ledger mean run on plain floats.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, checked
 from .pairwise import pairwise_sum
 
 if TYPE_CHECKING:
@@ -23,8 +25,8 @@ if TYPE_CHECKING:
 NU0_OFFSET_HZ = 429_228_004_229_800
 
 
-@dataclass(frozen=True)
-class ClockTransition:
+@checked
+class ClockTransition(NamedTuple):
     """Clock-transition bookkeeping for a species with F_g = F_e = I.
 
     ``dg_hz_per_t`` is the differential-g-factor splitting per unit field
@@ -35,7 +37,7 @@ class ClockTransition:
     nuclear_spin: float
     dg_hz_per_t: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.nuclear_spin < 0 or abs(2 * self.nuclear_spin - round(2 * self.nuclear_spin)) > 1e-9:
             raise ValidationError("nuclear spin must be a non-negative half-integer")
 
@@ -46,30 +48,39 @@ class SpectralFeature(NamedTuple):
     weight: float
 
 
-@dataclass(frozen=True)
-class SpectrumTrace:
-    detuning_hz: np.ndarray
-    response: np.ndarray
+@checked
+class SpectrumTrace(NamedTuple):
+    """A lineshape over its detuning grid: lists for a grid given as a list,
+    numpy arrays otherwise."""
+
+    detuning_hz: list[float] | np.ndarray
+    response: list[float] | np.ndarray
     labels: tuple[SpectralFeature, ...] = ()
     fwhm_hz: float | None = None
 
-    def __post_init__(self):
-        import numpy as np
-        d = np.asarray(self.detuning_hz, dtype=float)
-        if d.size == 0:
+    def _check(self):
+        d = self.detuning_hz
+        if isinstance(d, list):
+            size, increasing = len(d), all(a < b for a, b in zip(d, d[1:]))
+        else:
+            import numpy as np
+            d = np.asarray(d, dtype=float)
+            size = d.size
+            increasing = size < 2 or np.all(np.diff(d) > 0)
+        if size == 0:
             raise ValidationError("empty detuning grid")
-        if d.size > 1 and not np.all(np.diff(d) > 0):
+        if not increasing:
             raise ValidationError("detuning grid must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class Measurement:
+@checked
+class Measurement(NamedTuple):
     site: str
     value_hz: float          # relative to the nu0 reporting offset
     stat_hz: float
     sys_hz: float
 
-    def __post_init__(self):
+    def _check(self):
         if not all(map(math.isfinite, (self.value_hz, self.stat_hz, self.sys_hz))):
             raise ValidationError(f"measurement {self.site}: values must be finite")
         if self.stat_hz <= 0 or self.sys_hz <= 0:
@@ -88,6 +99,47 @@ class AggregateResult(NamedTuple):
     n: int
 
 
+class _Floats:
+    """The numpy functions a lineshape formula calls, for one Python float.
+    sqrt and the square round correctly in both; numpy's float64 sin gives
+    libm's bits, which tests/test_clockspec.py checks."""
+
+    sqrt = staticmethod(math.sqrt)
+    sin = staticmethod(math.sin)
+    minimum = staticmethod(min)
+
+    @staticmethod
+    def square(x):
+        return x * x
+
+
+def _evaluate(formula, points, floats: bool, **errstate):
+    """``formula(xp, x)`` over points: a point at a time on Python floats
+    (xp = _Floats) when ``floats``, else once on a numpy array (xp = numpy)
+    under ``np.errstate(**errstate)``. A float run that fails (math.sin of
+    inf) or gives a non-finite value is run again in numpy, so that numpy
+    raises or warns as it would have."""
+    if floats:
+        try:
+            values = [formula(_Floats, x) for x in points]
+            if all(map(math.isfinite, values)):
+                return values
+        except (ArithmeticError, ValueError):
+            pass
+    import numpy as np
+    with np.errstate(**errstate):
+        return formula(np, np.asarray(points, dtype=float))
+
+
+def _grid(detuning_hz):
+    """(True, a list of floats) for a grid given as a list, else (False,
+    the float array)."""
+    if isinstance(detuning_hz, list):
+        return True, list(map(float, detuning_hz))
+    import numpy as np
+    return False, np.asarray(detuning_hz, dtype=float)
+
+
 def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
                    saturation: float = 1.0) -> SpectrumTrace:
     """Excitation probability of a Rabi pulse over a detuning grid.
@@ -97,62 +149,75 @@ def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
     illustrative saturated-line model). The FWHM of the central feature is
     located numerically and stored on the returned trace: a walk in steps
     of 1/(4T) brackets the first half-maximum crossing right of the
-    carrier, and bisection of that step refines it. A numpy overflow
-    or invalid value anywhere on the way raises ``FloatingPointError``.
+    carrier, and bisection of that step refines it. A grid given as a list
+    is evaluated on floats, and so are the first 1024 steps of the walk and
+    the bisection; a longer walk goes on in numpy. A numpy overflow or
+    invalid value anywhere on the way raises ``FloatingPointError``.
     """
     if omega_rabi <= 0 or duration_s <= 0:
         raise ValidationError("rabi_lineshape: Omega and T must be > 0")
     if not 0.0 < omega_rabi * omega_rabi < math.inf:
         raise ValidationError(f"rabi_lineshape: Omega = {omega_rabi:g} rad/s has no "
                               "finite nonzero square")
-    import numpy as np
-    grid = np.asarray(detuning_hz, dtype=float)
-    if grid.size == 0:
+    floats, grid = _grid(detuning_hz)
+    if (len(grid) if floats else grid.size) == 0:
         raise ValidationError("rabi_lineshape: empty detuning grid")
+    rabi2 = omega_rabi**2
 
-    def prob(delta_hz):
-        w = 2.0 * math.pi * np.asarray(delta_hz)
-        rabi2 = omega_rabi**2
-        gen = np.sqrt(rabi2 + w**2)
-        p = rabi2 / (rabi2 + w**2) * np.sin(gen * duration_s / 2.0) ** 2
-        return np.minimum(saturation * p, 1.0)
+    def prob(xp, delta_hz):
+        w = 2.0 * math.pi * delta_hz
+        w2 = xp.square(w)
+        gen = xp.sqrt(rabi2 + w2)
+        p = rabi2 / (rabi2 + w2) * xp.square(xp.sin(gen * duration_s / 2.0))
+        return xp.minimum(saturation * p, 1.0)
 
-    with np.errstate(over="raise", invalid="raise"):
-        response = prob(grid)
-        peak = float(prob(0.0))
-        half = peak / 2.0
+    def at(points, on_floats=floats):
+        return _evaluate(prob, points, on_floats, over="raise", invalid="raise")
 
-        # first half-crossing right of the carrier; the line is symmetric
-        fwhm = None
-        if peak > 0:
-            step = 1.0 / (4.0 * duration_s)
-            limit = 1e6 / duration_s
-            # the first hi in step, step + step, ... with P(hi) <= half or
-            # hi >= limit, tested a block at a time: with the carrier on a node
-            # (Omega T = 2 pi n) no crossing exists and the walk runs to the limit
-            start = step
-            while True:
-                his = np.add.accumulate(np.r_[start, np.full(1023, step)])
-                stop = np.flatnonzero((prob(his) <= half) | (his >= limit))
-                if stop.size:
-                    hi = float(his[stop[0]])
-                    break
+    response = at(grid)
+    peak = float(at([0.0])[0])
+    half = peak / 2.0
+
+    # first half-crossing right of the carrier; the line is symmetric
+    fwhm = None
+    if peak > 0:
+        step = 1.0 / (4.0 * duration_s)
+        limit = 1e6 / duration_s
+        # the first hi in step, step + step, ... with P(hi) <= half or hi >=
+        # limit, tested a block of 1024 at a time: with the carrier on a node
+        # (Omega T = 2 pi n) no crossing exists and the walk runs to the limit.
+        # The steps add one at a time, as np.add.accumulate adds them.
+        start, hi = step, None
+        if floats:
+            his = list(itertools.accumulate(itertools.repeat(step, 1023), initial=start))
+            if his[-1] < math.inf:  # else numpy raises on the sum that overflows
+                hi = next((h for h, p in zip(his, at(his)) if p <= half or h >= limit), None)
                 start = his[-1] + step
-            if float(prob(hi)) <= half:
-                # P(hi - step) > half >= P(hi): bisect the walk's last step
-                a, b = hi - step, hi
-                while b - a > 1e-12 * step + 1e-14 * b:
-                    mid = 0.5 * (a + b)
-                    if mid <= a or mid >= b:
-                        break  # no representable point left between the ends
-                    if float(prob(mid)) > half:
-                        a = mid
-                    else:
-                        b = mid
-                fwhm = a + b  # twice the midpoint of the last bracket
+        if hi is None:
+            import numpy as np
+            with np.errstate(over="raise", invalid="raise"):
+                while True:
+                    his = np.add.accumulate(np.r_[start, np.full(1023, step)])
+                    stop = np.flatnonzero((at(his, False) <= half) | (his >= limit))
+                    if stop.size:
+                        hi = float(his[stop[0]])
+                        break
+                    start = his[-1] + step
+        if float(at([hi])[0]) <= half:
+            # P(hi - step) > half >= P(hi): bisect the walk's last step
+            a, b = hi - step, hi
+            while b - a > 1e-12 * step + 1e-14 * b:
+                mid = 0.5 * (a + b)
+                if mid <= a or mid >= b:
+                    break  # no representable point left between the ends
+                if float(at([mid])[0]) > half:
+                    a = mid
+                else:
+                    b = mid
+            fwhm = a + b  # twice the midpoint of the last bracket
 
-        labels = (SpectralFeature("carrier", 0.0, peak),)
-        return SpectrumTrace(grid, response, labels, fwhm)
+    labels = (SpectralFeature("carrier", 0.0, peak),)
+    return SpectrumTrace(grid, response, labels, fwhm)
 
 
 def quality_factor(frequency_hz: float, fwhm_hz: float) -> float:
@@ -197,23 +262,28 @@ def sideband_spectrum(eta: float, nu_axial_hz: float, nbar: float,
         raise ValidationError("nbar must be >= 0")
     if nu_axial_hz <= 0 or carrier_width_hz <= 0:
         raise ValidationError("nu_axial and carrier_width must be > 0")
-    import numpy as np
-    grid = np.asarray(detuning_hz, dtype=float)
-
+    floats, grid = _grid(detuning_hz)
     features = (
         SpectralFeature("red_sideband", -nu_axial_hz, eta**2 * nbar),
         SpectralFeature("carrier", 0.0, 1.0),
         SpectralFeature("blue_sideband", +nu_axial_hz, eta**2 * (nbar + 1.0)),
     )
     half = carrier_width_hz / 2.0
-    response = np.zeros_like(grid)
-    with np.errstate(over="ignore"):  # a far tail's square overflows, and its term is 0
+
+    def lorentzians(xp, x):
+        total = 0.0
         for f in features:
-            response += f.weight / (1.0 + ((grid - f.offset_hz) / half) ** 2)
-    top = response.max() if grid.size else 0.0
-    if top > 0:
-        response = response / top
-    return SpectrumTrace(grid, response, features)
+            total = total + f.weight / (1.0 + xp.square((x - f.offset_hz) / half))
+        return total
+
+    # a far tail's square overflows, and its term is 0
+    response = _evaluate(lorentzians, grid, floats, over="ignore")
+    if isinstance(response, list):
+        top = max(response, default=0.0)
+        return SpectrumTrace(grid, [r / top for r in response] if top > 0 else response,
+                             features)
+    top = response.max() if response.size else 0.0
+    return SpectrumTrace(grid, response / top if top > 0 else response, features)
 
 
 def nbar_from_asymmetry(ratio: float) -> float:

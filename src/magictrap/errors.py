@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``checked``, which gives a
+record type a constructor that raises them."""
 
 
 class MagicTrapError(Exception):
@@ -19,3 +20,17 @@ class PoleError(MagicTrapError, ValueError):
 
 class NumericalError(MagicTrapError, RuntimeError):
     """A numerical procedure failed (singular system, no convergence)."""
+
+
+def checked(record):
+    """The NamedTuple class ``record``, subclassed under its own name so that
+    each new instance is passed to ``record._check``, which raises
+    ValidationError for a bad field. The instances stay frozen tuples, with
+    the NamedTuple's repr."""
+    def __new__(cls, *args, **kwargs):
+        self = record.__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+    return type(record.__name__, (record,), {
+        "__slots__": (), "__new__": __new__, "__doc__": record.__doc__,
+        "__module__": record.__module__})

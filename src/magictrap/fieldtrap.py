@@ -9,17 +9,16 @@ All lengths in meters, all frequencies in ordinary Hz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 # the polarization classes live in angular; bench/sublevel.py reads them here
 from .angular import CircularPolarization, LinearPolarization, Polarization  # noqa: F401
 from .constants import PLANCK
-from .errors import ValidationError
+from .errors import ValidationError, checked
 
 
-@dataclass(frozen=True)
-class FieldConfig:
+@checked
+class FieldConfig(NamedTuple):
     """Trap light: wavelength and either total power of one beam or its
     peak intensity (exactly one of the two)."""
 
@@ -27,7 +26,7 @@ class FieldConfig:
     power_w: float | None = None
     intensity_w_m2: float | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.wavelength_m <= 0:
             raise ValidationError("wavelength must be > 0")
         given = (self.power_w is not None, self.intensity_w_m2 is not None)
@@ -38,14 +37,14 @@ class FieldConfig:
             raise ValidationError("power/intensity must be >= 0")
 
 
-@dataclass(frozen=True)
-class GaussianBeam:
+@checked
+class GaussianBeam(NamedTuple):
     """Focused TEM00 beam; its Rayleigh range z0 = pi w0^2 / lambda comes
     from the waist and the wavelength of the field it is used with."""
 
     waist_m: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.waist_m <= 0:
             raise ValidationError("waist must be > 0")
 
@@ -53,15 +52,15 @@ class GaussianBeam:
         return math.pi * self.waist_m**2 / wavelength_m
 
 
-@dataclass(frozen=True)
-class Lattice1D:
+@checked
+class Lattice1D(NamedTuple):
     """Retro-reflected standing wave. ``mirror_loss`` scales the ideal 4x
     antinode interference factor (1.0 = lossless)."""
 
     waist_m: float
     mirror_loss: float = 1.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.waist_m <= 0:
             raise ValidationError("waist must be > 0")
         if not 0.0 < self.mirror_loss <= 1.0:

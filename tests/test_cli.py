@@ -675,13 +675,21 @@ SIDEBANDS = ["sidebands", "--eta", "0.3", "--nbar", "1", "--width", "1khz"]
     ("--delta-e/--delta-b", ["ladder", "--g0", "1e6hz", "--n", "2",
                              "--delta-b=2.861117485757028e+307hz"]),
     ("--g0/--n/--delta-e/--delta-b", ["ladder", "--g0", "1e200hz", "--n", "2"]),  # n g^2
-    ("--g0/--n/--delta-e/--delta-b", ["ladder", "--g0", "1e6hz", "--n", "2", "--delta-e",
-                                      "2.8e307hz", "--delta-b", "2.8e307hz"]),  # their sum
 ], ids=["blockade-g0", "spectrum-kappa", "spectrum-default-window", "spectrum-window",
         "clock-line-span", "sidebands-span", "sidebands-nu-z", "ladder-g0", "ladder-delta-e",
-        "zeeman-dg", "trap-recoil", "ladder-shift-pair", "ladder-coupling", "ladder-shift-sum"])
+        "zeeman-dg", "trap-recoil", "ladder-shift-pair", "ladder-coupling"])
 def test_overflowing_frequency_exits_with_one_line(flag, argv, tmp_path):
     assert_one_line_refusal(flag, argv, tmp_path)
+
+
+def test_ladder_shift_pair_near_the_top_has_finite_offsets(tmp_path, monkeypatch):
+    """Two shifts whose sum overflows in rad/s: the mean is formed from their
+    halves, so the offsets stay finite."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["ladder", "--g0", "1e6hz", "--n", "2", "--delta-e", "2.8e307hz",
+                "--delta-b", "2.8e307hz"]) == 0
+    rows = (tmp_path / "ladder.csv").read_text().splitlines()[2:]
+    assert rows == ["lower,2.8000000000000001e+307", "upper,2.8000000000000001e+307"]
 
 
 @pytest.mark.parametrize("flag, argv", [
@@ -694,6 +702,26 @@ def test_overflowing_frequency_exits_with_one_line(flag, argv, tmp_path):
 def test_too_narrow_span_exits_with_one_line(flag, argv, tmp_path):
     # a subnormal half-span over many points repeats detunings
     assert_one_line_refusal(flag, argv, tmp_path)
+
+
+@pytest.mark.parametrize("points", [1, 2, 801, 1001, 2000])
+def test_floats_match_numpy_detuning_grid(points):
+    """Up to 2000 points the grid is a list with the bits of np.linspace,
+    over seeded spans from subnormal to the top of the frequency range; a
+    span numpy spreads into repeated points is refused naming its flags."""
+    rng = np.random.default_rng(points)
+    spans = [10.0, 5e-324, 2.861117485757028e+307, *10.0 ** rng.uniform(-323.3, 307.4, 60)]
+    for span in spans:
+        ref = np.linspace(-span, span, points)
+        if not np.all(np.diff(ref) > 0):
+            with pytest.raises(ValidationError, match="^--span/--points: "):
+                cli._detuning_grid(span, points, "--span/--points")
+            continue
+        grid = cli._detuning_grid(span, points, "--span/--points")
+        assert type(grid) is list
+        assert np.array(grid).tobytes() == ref.tobytes(), span
+    with pytest.raises(ValidationError, match="^--span/--points: "):
+        cli._detuning_grid(1e-321, 2000, "--span/--points")
 
 
 def assert_one_line_refusal(flag, argv, tmp_path):

@@ -69,7 +69,7 @@ COMMANDS = {
     "clock-line": {"--duration": need("time", ["0.5s", "20ms"]),
                    "--rabi": flag("frequency", ["1hz", "2hz"]),
                    "--span": flag("frequency", ["10hz", "200hz"]),
-                   "--points": flag("int", ["3", "50"], 1_000_000),
+                   "--points": flag("int", ["3", "50", "2000", "2001"], 1_000_000),
                    "--saturation": flag("float", ["1", "3"]),
                    "--observed-width": flag("frequency", ["1.8hz"])},
     "zeeman": {"--spin": flag("half", ["9/2", "0", "1/2"], 10),
@@ -80,7 +80,7 @@ COMMANDS = {
                   "--nbar": need("float", ["1", "0.2"]),
                   "--width": need("frequency", ["3khz"]),
                   "--span": flag("frequency", ["80khz"]),
-                  "--points": flag("int", ["5", "50"], 1_000_000)},
+                  "--points": flag("int", ["5", "50", "2000", "2001"], 1_000_000)},
     "cavity-spectrum": {**CAVITY,
                         "--delta-b": flag("frequency", ["3e6hz"]),
                         "--delta-e": flag("frequency", ["-3e6hz"]),

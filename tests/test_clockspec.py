@@ -339,14 +339,43 @@ def stepwise_fwhm(omega, duration, saturation=1.0):
     return a + b
 
 
-@pytest.mark.parametrize("omega_t,duration,saturation", [
+PULSES = [
     (math.pi, 0.5, 1.0), (math.pi, 0.1, 3.0), (3 * math.pi, 1.0, 1.0),
     (0.4 * math.pi, 2.0, 10.0), (2 * math.pi * 1.002, 0.5, 1.0),
     (4 * math.pi * 0.997, 0.05, 1.0), (6 * math.pi * 1.03, 1.0, 2.7),
-])
+]
+
+
+@pytest.mark.parametrize("omega_t,duration,saturation", PULSES)
 def test_fwhm_search_matches_stepwise_walk(omega_t, duration, saturation):
     trace = rabi_lineshape(omega_t / duration, duration, np.array([0.0]), saturation)
     assert trace.fwhm_hz == stepwise_fwhm(omega_t / duration, duration, saturation)
+
+
+def assert_same_trace(on_list, on_array):
+    """A trace evaluated on floats and one evaluated in numpy, bit for bit."""
+    assert type(on_list.detuning_hz) is list and type(on_list.response) is list
+    assert np.array(on_list.detuning_hz).tobytes() == on_array.detuning_hz.tobytes()
+    assert np.array(on_list.response).tobytes() == on_array.response.tobytes()
+    assert (on_list.labels, on_list.fwhm_hz) == (on_array.labels, on_array.fwhm_hz)
+
+
+# the carrier-node pulse walks past the first 1024 steps, which run on floats
+@pytest.mark.parametrize("omega_t,duration,saturation", [*PULSES, (2 * math.pi, 0.5, 1.0)])
+def test_floats_match_numpy_rabi_lineshape(omega_t, duration, saturation):
+    grid = np.linspace(-4.0 / duration, 4.0 / duration, 801)
+    on_list = rabi_lineshape(omega_t / duration, duration, grid.tolist(), saturation)
+    assert_same_trace(on_list, rabi_lineshape(omega_t / duration, duration, grid, saturation))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_floats_match_numpy_sideband_spectrum(seed):
+    rng = np.random.default_rng(seed)
+    nu_z = 10 ** rng.uniform(3, 6)
+    args = (rng.uniform(0.0, 1.0), nu_z, [0.0, rng.uniform(0.0, 20.0)][rng.integers(2)],
+            nu_z * 10 ** rng.uniform(-3, 0.5))
+    grid = np.linspace(-1.6 * nu_z, 1.6 * nu_z, rng.integers(1, 2001))
+    assert_same_trace(sideband_spectrum(*args, grid.tolist()), sideband_spectrum(*args, grid))
 
 
 def test_fwhm_matches_brentq_oracle():

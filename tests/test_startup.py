@@ -2,9 +2,10 @@
 an oracle, and no command loads a worker pool (``concurrent.*`` or
 ``multiprocessing``), also when a large table is written block by block.
 Each subcommand imports only the physics modules it runs, and numpy only
-where it builds an array (a scan, a spectrum, a cavity solve), so version,
-help, usage errors and the float-only commands never load it. The parser
-gives flags only to the subcommand being run, so help must still show them.
+where it builds an array (a scan, a spectrum of more than 2000 points, a
+cavity solve), so version, help, usage errors and the float-only commands
+never load it, and no command loads ``dataclasses``. The parser gives flags
+only to the subcommand being run, so help must still show them.
 
 Each check runs in a fresh interpreter, so modules imported by other tests
 do not hide an eager import.
@@ -120,24 +121,28 @@ SCAN = ["--species", "sr87", "--state1", "1S0", "--state2", "3P0",
 CAVITY = ["--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2e6hz"]
 ATOM = ["angular", "atomdata", "constants", "pairwise", "polarizability"]
 CLOCK = ["clockspec", "pairwise"]
+CLOCK_LINE = ["clock-line", "--duration", "0.5s", "--pi"]
+SIDEBANDS = ["sidebands", "--eta", "0.31", "--nu-z", "49khz", "--nbar", "1", "--width", "3khz"]
 # each argv, the magictrap modules it loads, whether it loads dataclasses,
-# which only the modules with a checked frozen dataclass import, and whether
-# it loads numpy, which only the commands that build an array import
+# which no module imports, and whether it loads numpy, which only the
+# commands that build an array import: a spectrum of more than 2000 points
+# does, a default one runs on floats
 LOADS = [
     (["--version"], [], False, False),
     (["polarizability", *SCAN], sorted([*ATOM, "floattext"]), False, True),  # a float table
     (["magic", *SCAN], ATOM, False, False),
     (["trap", "--species", "sr87", "--lattice-lambda", "813.428nm", "--waist", "30um",
-      "--depth-erec", "50"], sorted([*ATOM, "fieldtrap"]), True, False),
-    (["clock-line", "--duration", "0.5s", "--pi"], sorted([*CLOCK, "floattext"]), True, True),
-    (["zeeman", "--dg", "108.4hz", "--field", "1e-4t"], CLOCK, True, False),
-    (["sidebands", "--eta", "0.31", "--nu-z", "49khz", "--nbar", "1", "--width", "3khz",
-      "--points", "11"], sorted([*CLOCK, "floattext"]), True, True),
-    (["aggregate", str(data_dir() / "sr87_measurements.csv")], CLOCK, True, False),
+      "--depth-erec", "50"], sorted([*ATOM, "fieldtrap"]), False, False),
+    (CLOCK_LINE, CLOCK, False, False),
+    (["zeeman", "--dg", "108.4hz", "--field", "1e-4t"], CLOCK, False, False),
+    (SIDEBANDS, CLOCK, False, False),
+    (["aggregate", str(data_dir() / "sr87_measurements.csv")], CLOCK, False, False),
     (["cavity-spectrum", *CAVITY, "--nmax", "3", "--points", "5", "--g2"],
-     ["cavityqed", "constants"], True, True),
-    (["blockade", *CAVITY, "--nmax", "4"], ["cavityqed", "constants"], True, True),
-    (["ladder", "--g0", "1e6hz", "--n", "2"], ["cavityqed", "constants"], True, False),
+     ["cavityqed", "constants"], False, True),
+    (["blockade", *CAVITY, "--nmax", "4"], ["cavityqed", "constants"], False, True),
+    (["ladder", "--g0", "1e6hz", "--n", "2"], ["cavityqed", "constants"], False, False),
+    ([*CLOCK_LINE, "--points", "2001"], sorted([*CLOCK, "floattext"]), False, True),
+    ([*SIDEBANDS, "--points", "2001"], sorted([*CLOCK, "floattext"]), False, True),
 ]
 
 
@@ -148,8 +153,8 @@ def run_modules(argv, cwd):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv, modules, dataclasses, numpy", LOADS,
-                         ids=[argv[0] for argv, *_ in LOADS])
+@pytest.mark.parametrize("argv, modules, dataclasses, numpy", LOADS, ids=[
+    argv[0] + ("-2001-points" if argv[-1] == "2001" else "") for argv, *_ in LOADS])
 def test_each_command_loads_only_its_own_modules(argv, modules, dataclasses, numpy, tmp_path):
     # inspect comes with numpy or dataclasses, and only with them
     assert run_modules(argv, tmp_path) == {"code": 0, "configparser": False, "numpy": numpy,
@@ -192,8 +197,8 @@ def test_configparser_loads_only_with_config(tmp_path):
     (tmp_path / "run.ini").write_text("[cavity]\nkappa = 2e6hz\ngamma = 2e6hz\n")
     result = run_modules(["ladder", "--g0", "1e6hz", "--n", "2", "--config", "run.ini"],
                          tmp_path)
-    assert result == {"code": 0, "configparser": True, "numpy": False, "dataclasses": True,
-                      "inspect": True, "modules": ["cavityqed", "constants"]}
+    assert result == {"code": 0, "configparser": True, "numpy": False, "dataclasses": False,
+                      "inspect": False, "modules": ["cavityqed", "constants"]}
 
 
 def _help(argv, capsys):

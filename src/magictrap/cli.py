@@ -12,9 +12,9 @@ table, so a runner only sees checked SI values, never raw text.
 
 Each run loads only what its subcommand uses: a runner imports its physics
 module when called, and ``build_parser`` gives flags to the one subcommand
-argv names. numpy loads only where a run builds an array: ``polarizability``,
-``magic`` with ``--scan-out``, ``magic``, ``clock-line`` and ``sidebands``
-with more than 2000 ``--points`` (or an FWHM walk past its first 1024 steps),
+argv names. numpy loads only where a run builds an array (see ``pairwise``):
+``polarizability``, ``magic --scan-out``, a finer grid in ``magic``,
+``clock-line`` and ``sidebands`` (or an FWHM walk past 1024 steps),
 ``cavity-spectrum`` and ``blockade``. Every other run computes on Python
 floats with the bits numpy would give, and no run imports ``dataclasses``.
 """
@@ -646,30 +646,18 @@ def _run_trap(args, argv):
                    {"species": species.name, "state": state}, *summary)
 
 
-# grids of at most this many points are built and evaluated on Python
-# floats, larger ones in numpy, with the same bits
-_FLOAT_POINTS = 2000
-
-
 def _detuning_grid(span: float, points: int, flags: str) -> list[float] | np.ndarray:
     """``points`` detunings from -span to +span, as ``np.linspace(-span,
-    span, points)`` spaces them: up to _FLOAT_POINTS points a list of
-    floats k * step - span with the last point exact, as numpy computes
-    them, above that the array. Refused in one line naming ``flags`` where
-    a step does not increase (a subnormal span spread over many points
-    rounds steps to 0; where the step itself is 0, numpy scales k / (points
-    - 1) by the width instead, which repeats points too)."""
-    if points > _FLOAT_POINTS:
+    span, points)`` spaces them, a list or an array by
+    ``pairwise.FLOAT_POINTS``. Refused in one line naming ``flags`` where a
+    step does not increase (a subnormal span spread over many points)."""
+    from .pairwise import FLOAT_POINTS, increasing, linspace
+    if points > FLOAT_POINTS:
         import numpy as np
         grid = np.linspace(-span, span, points)
-        increasing = np.all(np.diff(grid) > 0)
     else:
-        step = (span - -span) / max(points - 1, 1)
-        grid = [k * step - span for k in range(points)]
-        if points > 1:
-            grid[-1] = span
-        increasing = all(a < b for a, b in zip(grid, grid[1:]))
-    if not increasing:
+        grid = linspace(-span, span, points)
+    if not increasing(grid):
         raise ValidationError(f"{flags}: a span of +-{span:g} Hz is too narrow for {points} "
                               "increasing points")
     return grid

@@ -4,9 +4,8 @@ sidebands, and aggregation of absolute-frequency measurements.
 Detunings are ordinary frequencies in Hz; Rabi frequencies are angular
 (rad/s). Absolute clock frequencies are reported relative to the fixed
 offset NU0_OFFSET_HZ. Each lineshape is one formula for a float or an
-array: a detuning grid given as a list is evaluated a point at a time on
-Python floats and returned as lists, any other grid in numpy, with the
-same bits. The Zeeman multiplet and the ledger mean run on plain floats.
+array, run on the grid's container as ``pairwise`` sets out, with the same
+bits either way. The Zeeman multiplet and the ledger mean run on floats.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ValidationError, checked
-from .pairwise import pairwise_sum
+from .pairwise import increasing, pairwise_sum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,16 +59,12 @@ class SpectrumTrace(NamedTuple):
 
     def _check(self):
         d = self.detuning_hz
-        if isinstance(d, list):
-            size, increasing = len(d), all(a < b for a, b in zip(d, d[1:]))
-        else:
+        if not isinstance(d, list):  # an array, or a scalar as one point
             import numpy as np
-            d = np.asarray(d, dtype=float)
-            size = d.size
-            increasing = size < 2 or np.all(np.diff(d) > 0)
-        if size == 0:
+            d = np.ravel(d)
+        if len(d) == 0:
             raise ValidationError("empty detuning grid")
-        if not increasing:
+        if not increasing(d):
             raise ValidationError("detuning grid must be strictly increasing")
 
 
@@ -113,13 +108,13 @@ class _Floats:
         return x * x
 
 
-def _evaluate(formula, points, floats: bool, **errstate):
-    """``formula(xp, x)`` over points: a point at a time on Python floats
-    (xp = _Floats) when ``floats``, else once on a numpy array (xp = numpy)
+def _evaluate(formula, points, **errstate):
+    """``formula(xp, x)`` over points: a list a point at a time on Python
+    floats (xp = _Floats), any other grid once on a numpy array (xp = numpy)
     under ``np.errstate(**errstate)``. A float run that fails (math.sin of
     inf) or gives a non-finite value is run again in numpy, so that numpy
     raises or warns as it would have."""
-    if floats:
+    if isinstance(points, list):
         try:
             values = [formula(_Floats, x) for x in points]
             if all(map(math.isfinite, values)):
@@ -132,12 +127,11 @@ def _evaluate(formula, points, floats: bool, **errstate):
 
 
 def _grid(detuning_hz):
-    """(True, a list of floats) for a grid given as a list, else (False,
-    the float array)."""
+    """A grid given as a list as a list of floats, any other as a float array."""
     if isinstance(detuning_hz, list):
-        return True, list(map(float, detuning_hz))
+        return list(map(float, detuning_hz))
     import numpy as np
-    return False, np.asarray(detuning_hz, dtype=float)
+    return np.asarray(detuning_hz, dtype=float)
 
 
 def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
@@ -149,19 +143,17 @@ def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
     illustrative saturated-line model). The FWHM of the central feature is
     located numerically and stored on the returned trace: a walk in steps
     of 1/(4T) brackets the first half-maximum crossing right of the
-    carrier, and bisection of that step refines it. A grid given as a list
-    is evaluated on floats, and so are the first 1024 steps of the walk and
-    the bisection; a longer walk goes on in numpy. A numpy overflow or
-    invalid value anywhere on the way raises ``FloatingPointError``.
+    carrier, and bisection of that step refines it. The first 1024 steps
+    of the walk and the bisection run on floats, a longer walk in numpy. A
+    numpy overflow or invalid value anywhere on the way raises
+    ``FloatingPointError``.
     """
     if omega_rabi <= 0 or duration_s <= 0:
         raise ValidationError("rabi_lineshape: Omega and T must be > 0")
     if not 0.0 < omega_rabi * omega_rabi < math.inf:
         raise ValidationError(f"rabi_lineshape: Omega = {omega_rabi:g} rad/s has no "
                               "finite nonzero square")
-    floats, grid = _grid(detuning_hz)
-    if (len(grid) if floats else grid.size) == 0:
-        raise ValidationError("rabi_lineshape: empty detuning grid")
+    grid = _grid(detuning_hz)
     rabi2 = omega_rabi**2
 
     def prob(xp, delta_hz):
@@ -171,8 +163,8 @@ def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
         p = rabi2 / (rabi2 + w2) * xp.square(xp.sin(gen * duration_s / 2.0))
         return xp.minimum(saturation * p, 1.0)
 
-    def at(points, on_floats=floats):
-        return _evaluate(prob, points, on_floats, over="raise", invalid="raise")
+    def at(points):
+        return _evaluate(prob, points, over="raise", invalid="raise")
 
     response = at(grid)
     peak = float(at([0.0])[0])
@@ -187,18 +179,17 @@ def rabi_lineshape(omega_rabi: float, duration_s: float, detuning_hz,
         # limit, tested a block of 1024 at a time: with the carrier on a node
         # (Omega T = 2 pi n) no crossing exists and the walk runs to the limit.
         # The steps add one at a time, as np.add.accumulate adds them.
-        start, hi = step, None
-        if floats:
-            his = list(itertools.accumulate(itertools.repeat(step, 1023), initial=start))
-            if his[-1] < math.inf:  # else numpy raises on the sum that overflows
-                hi = next((h for h, p in zip(his, at(his)) if p <= half or h >= limit), None)
-                start = his[-1] + step
+        his = list(itertools.accumulate(itertools.repeat(step, 1023), initial=step))
+        hi, start = None, step
+        if his[-1] < math.inf:  # else numpy raises on the sum that overflows
+            hi = next((h for h, p in zip(his, at(his)) if p <= half or h >= limit), None)
+            start = his[-1] + step
         if hi is None:
             import numpy as np
             with np.errstate(over="raise", invalid="raise"):
                 while True:
                     his = np.add.accumulate(np.r_[start, np.full(1023, step)])
-                    stop = np.flatnonzero((at(his, False) <= half) | (his >= limit))
+                    stop = np.flatnonzero((at(his) <= half) | (his >= limit))
                     if stop.size:
                         hi = float(his[stop[0]])
                         break
@@ -262,7 +253,7 @@ def sideband_spectrum(eta: float, nu_axial_hz: float, nbar: float,
         raise ValidationError("nbar must be >= 0")
     if nu_axial_hz <= 0 or carrier_width_hz <= 0:
         raise ValidationError("nu_axial and carrier_width must be > 0")
-    floats, grid = _grid(detuning_hz)
+    grid = _grid(detuning_hz)
     features = (
         SpectralFeature("red_sideband", -nu_axial_hz, eta**2 * nbar),
         SpectralFeature("carrier", 0.0, 1.0),
@@ -277,7 +268,7 @@ def sideband_spectrum(eta: float, nu_axial_hz: float, nbar: float,
         return total
 
     # a far tail's square overflows, and its term is 0
-    response = _evaluate(lorentzians, grid, floats, over="ignore")
+    response = _evaluate(lorentzians, grid, over="ignore")
     if isinstance(response, list):
         top = max(response, default=0.0)
         return SpectrumTrace(grid, [r / top for r in response] if top > 0 else response,

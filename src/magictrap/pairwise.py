@@ -1,6 +1,32 @@
-"""Float sums in the order of numpy's pairwise reduction, without numpy."""
+"""Float arithmetic in numpy's order without numpy, and where it runs.
+
+FLOAT_POINTS is the rule: a grid of at most that many points (every default
+grid of the magic search, `clock-line` and `sidebands`) is a list, built by
+``linspace`` and evaluated a point at a time on floats with numpy's bits; a
+larger one is a numpy array. Code handed a grid takes its mode from its type.
+"""
 
 from __future__ import annotations
+
+FLOAT_POINTS = 2000
+
+
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n points from lo to hi with the bits of ``np.linspace(lo, hi, n)``
+    (k * step + lo, the last exact) wherever its step is not 0."""
+    step = (hi - lo) / max(n - 1, 1)
+    grid = [k * step + lo for k in range(n)]
+    if n > 1:
+        grid[-1] = hi
+    return grid
+
+
+def increasing(grid) -> bool:
+    """Whether each point of a list or a 1-D array is above the one before."""
+    if isinstance(grid, list):
+        return all(a < b for a, b in zip(grid, grid[1:]))
+    import numpy as np
+    return bool(np.all(np.diff(grid) > 0))
 
 
 def pairwise_sum(term, lo: int, hi: int):

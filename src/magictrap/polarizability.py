@@ -15,9 +15,9 @@ state's pole table ``poles_au`` (|w_ki|), which the pole guards and the
 magic search's segment edges read. ``_StateTerms.sums`` adds one line's
 term num_k / (w_ki^2 - w^2) at a time, for a float omega or a scan grid,
 in the order of numpy's ``.sum(axis=-1)`` over (points x lines), so its
-results keep the bits of that reduction. Only a scan grid and a search
-finer than DEFAULT_SCAN_POINTS load numpy: a default magic search, a single
-wavelength and a pole check run on plain floats.
+results keep the bits of that reduction. A magic search grid follows
+``pairwise.FLOAT_POINTS``; a single wavelength and a pole check run on
+floats, a scan grid in numpy.
 
 Field convention: U = -alpha * I / (2 eps0 c) with I the local
 time-averaged intensity. Hyperpolarizability O(E^4) is omitted throughout.
@@ -33,7 +33,8 @@ from .atomdata import Species, TransitionLine
 from .constants import (HARTREE_HZ, PLANCK, POLARIZABILITY_AU, SPEED_OF_LIGHT,
                         VACUUM_PERMITTIVITY)
 from .errors import PoleError, ValidationError
-from .pairwise import pairwise_sum
+from . import pairwise
+from .pairwise import linspace, pairwise_sum
 
 # Relative detuning below which a requested wavelength is rejected as
 # sitting on a catalog resonance.
@@ -45,9 +46,6 @@ POLE_GUARD = 1e-7
 # |delta alpha| below 1e-6 a.u.
 REFINE_TOL = 4e-16
 
-# Magic searches of at most this many grid points (every default search)
-# evaluate their grid a point at a time on floats; finer ones load numpy and
-# evaluate it in one call, with the same bits.
 DEFAULT_SCAN_POINTS = 2000
 
 
@@ -110,9 +108,8 @@ class _StateTerms:
         """Scalar line sum at omega (a.u., a float or an array); with
         ``sublevel`` the (scalar, vector, tensor) sums, a part the state
         lacks being 0."""
-        if not self.lines:  # numpy's empty sum: zeros shaped like omega
-            import numpy as np
-            zero = np.zeros(np.shape(omega))
+        if not self.lines:  # numpy's empty sum: +0.0 shaped like omega
+            zero = 0.0 * omega
             return (zero, zero, zero) if sublevel else zero
         w2, o2, n = omega * omega, self.omega2_au, len(self.lines)
         s, v, t = self.scalar_num, self.vector_num, self.tensor_num
@@ -236,9 +233,7 @@ def _log_grid(lo: float, hi: float, n: int) -> list[float]:
     exponents of np.linspace from log10(lo) to log10(hi), each raised by
     Python's ``**``, with both ends exact. Its bits do not depend on numpy's
     SIMD kernels."""
-    a = math.log10(lo)
-    step = (math.log10(hi) - a) / (n - 1)
-    grid = [10.0 ** (k * step + a) for k in range(n)]
+    grid = [10.0 ** y for y in linspace(math.log10(lo), math.log10(hi), n)]
     grid[0], grid[-1] = lo, hi
     return grid
 
@@ -255,11 +250,10 @@ def find_magic(species: Species, state1: str, state2: str,
     ``m1``/``m2`` (with ``pol``) resolves those sublevels instead, for any J
     (an m that is not a sublevel of its state is rejected). The interval is
     split at every catalog pole of either state; each pole-free segment is
-    scanned on a log-spaced grid (``_log_grid``; a point at a time up to
-    DEFAULT_SCAN_POINTS points, above that in one numpy call with the same
-    bits) and sign changes are bisected to a relative wavelength tolerance
-    of REFINE_TOL (well inside the documented 1e-9). An empty list means no
-    crossing; identical states are rejected.
+    scanned on a log-spaced grid (``_log_grid``, evaluated as
+    ``pairwise.FLOAT_POINTS`` sets out) and sign changes are bisected to a
+    relative wavelength tolerance of REFINE_TOL (well inside the documented
+    1e-9). An empty list means no crossing; identical states are rejected.
     """
     if state1 == state2:
         raise ValidationError("state1 = state2: difference is identically zero")
@@ -301,7 +295,7 @@ def find_magic(species: Species, state1: str, state2: str,
             continue
         n = max(8, int(round(grid_points * math.log(seg_hi / seg_lo) / math.log(hi / lo))))
         grid = _log_grid(seg_lo, seg_hi, n)
-        if grid_points <= DEFAULT_SCAN_POINTS:
+        if grid_points <= pairwise.FLOAT_POINTS:
             values = [delta(lam) for lam in grid]
             steps = [i for i in range(n - 1)
                      if values[i] < 0 < values[i + 1] or values[i + 1] < 0 < values[i]]

@@ -724,6 +724,41 @@ def test_floats_match_numpy_detuning_grid(points):
         cli._detuning_grid(1e-321, 2000, "--span/--points")
 
 
+FLOAT_GRIDS = [
+    ["clock-line", "--duration", "0.5s", "--pi"],
+    ["sidebands", "--eta", "0.31", "--nu-z", "49khz", "--nbar", "1", "--width", "3khz"],
+    ["magic", "--species", "sr87", "--state1", "1S0", "--state2", "3P1", "--from", "700nm",
+     "--to", "1000nm", "--format", "json"],
+]
+
+
+def test_one_switch_moves_every_float_grid(tmp_path, monkeypatch, capsys):
+    """pairwise.FLOAT_POINTS alone moves the clock-line and sideband grids
+    and the magic search grid between lists and arrays, with the same bytes."""
+    import magictrap.pairwise as pairwise
+    import magictrap.polarizability as polarizability
+    grids = []
+    evaluate, sums = clockspec._evaluate, polarizability._StateTerms.sums
+    monkeypatch.setattr(clockspec, "_evaluate", lambda formula, points, **errstate: (
+        grids.append(type(points)), evaluate(formula, points, **errstate))[1])
+    monkeypatch.setattr(polarizability._StateTerms, "sums", lambda self, omega, *a: (
+        grids.append(type(omega)), sums(self, omega, *a))[1])
+    monkeypatch.chdir(tmp_path)
+    for argv in FLOAT_GRIDS:
+        runs = []
+        for points in (2000, 0):
+            monkeypatch.setattr(pairwise, "FLOAT_POINTS", points)
+            grids.clear()
+            assert run([*argv, "--out", "out"]) == 0
+            # the grid: clockspec's first evaluation, or any array of the search
+            kind = grids[0] if argv[0] != "magic" else (
+                np.ndarray if np.ndarray in grids else list)
+            runs.append((kind, capsys.readouterr(), (tmp_path / "out").read_bytes()))
+        (floats, *on_floats), (arrays, *on_arrays) = runs
+        assert (floats, arrays) == (list, np.ndarray), argv
+        assert on_floats == on_arrays, argv
+
+
 def assert_one_line_refusal(flag, argv, tmp_path):
     proc = run_fresh(argv, tmp_path)
     assert proc.returncode == 1, proc.stderr

@@ -402,3 +402,12 @@ def test_carrier_node_has_no_fwhm_and_returns_quickly():
     trace = rabi_lineshape(2 * math.pi * 2.0, 0.5, np.linspace(-10, 10, 801))
     assert trace.fwhm_hz is None
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("grid", [5.0, np.float64(5.0)], ids=["float", "float64"])
+def test_scalar_grid_is_one_point(grid):
+    """A scalar detuning is a grid of one point, evaluated in numpy."""
+    trace = rabi_lineshape(math.pi / 0.5, 0.5, grid)
+    one = rabi_lineshape(math.pi / 0.5, 0.5, [5.0])
+    assert (float(trace.response), trace.fwhm_hz) == (one.response[0], one.fwhm_hz)
+    assert float(sideband_spectrum(0.3, 5e4, 1.0, 2e3, grid).response) == 1.0

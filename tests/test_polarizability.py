@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import magictrap.polarizability as polarizability
+import magictrap.pairwise as pairwise
 from conftest import synth_species
 from magictrap.angular import CircularPolarization, LinearPolarization, wigner_6j
 from magictrap.atomdata import bundled_species_path, load_species
@@ -382,12 +386,47 @@ def test_find_magic_branches_give_the_same_points(name, states, points, monkeypa
         return find_magic(species, state1, state2, (400e-9, 2000e-9), pol=pol,
                           grid_points=points, m1=m1, m2=m2)
 
-    monkeypatch.setattr(polarizability, "DEFAULT_SCAN_POINTS", 10**9)  # point by point
+    monkeypatch.setattr(pairwise, "FLOAT_POINTS", 10**9)  # point by point
     floats = search()
-    monkeypatch.setattr(polarizability, "DEFAULT_SCAN_POINTS", 0)  # one numpy call
+    monkeypatch.setattr(pairwise, "FLOAT_POINTS", 0)  # one numpy call
     arrays = search()
     assert floats  # each search crosses
     assert repr(floats) == repr(arrays)
+
+
+LONE_LEVEL = (f"species X mass_kg 1e-25 I 0\nlevel g energy_hz 0 J 0\nlevel e energy_hz 4e14 J 1\n"
+              f"level x energy_hz 1e14 J 1\nline g e lambda_nm {C / 4e14 * 1e9!r} d_au 1\n")
+
+
+def test_level_without_lines_is_positive_zero_and_loads_no_numpy(tmp_path):
+    """A level that no catalog line touches has alpha +0.0 (numpy's empty
+    sum), as a float, per sublevel and over a scan; a single wavelength
+    and a default search of it stay on floats."""
+    path = tmp_path / "lone.lines"
+    path.write_text(LONE_LEVEL)
+    script = f"""
+import math, sys
+from magictrap.angular import CircularPolarization
+from magictrap.atomdata import load_species
+from magictrap.polarizability import alpha_m_resolved, alpha_scalar, find_magic
+species = load_species({str(path)!r})
+values = [alpha_scalar(species, "x", 800e-9).alpha_scalar_au,
+          *alpha_m_resolved(species, "x", 800e-9, CircularPolarization(+1)).per_m_au.values()]
+assert all(type(v) is float and math.copysign(1.0, v) == 1.0 and v == 0.0 for v in values), values
+assert len(values) == 4
+find_magic(species, "x", "g", (500e-9, 1500e-9))
+print("numpy" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(pairwise.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    species = load_species(path)
+    lams, a1, a2, delta = scan_delta_alpha(species, "x", "g", 500e-9, 1500e-9, 50)
+    assert a1.shape == lams.shape == (50,)
+    assert a1.tobytes() == np.zeros(50).tobytes()
+    assert np.array_equal(delta, -a2)
 
 
 def test_find_magic_hi_on_a_pole_is_nudged_inward(sr87):

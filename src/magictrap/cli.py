@@ -249,7 +249,8 @@ COMMANDS = {
              "(frequency per tesla, e.g. 108.4hz)", required=True, low=None),
         Flag("--field", "bfield", "bias field (bfield, e.g. 0.3mt)", required=True, low=None))),
     "sidebands": Command("carrier and motional sidebands", "clock", (
-        Flag("--eta", "float", "Lamb-Dicke parameter (dimensionless)", required=True, strict=False),
+        Flag("--eta", "float", "Lamb-Dicke parameter (dimensionless)", required=True, strict=False,
+             cap=math.nextafter(1.0, 0.0)),
         Flag("--nu-z", "frequency", "axial trap frequency (frequency, e.g. 49khz)",
              required=True),
         Flag("--nbar", "float", "mean motional occupation (dimensionless)", required=True,
@@ -679,6 +680,11 @@ def _run_clock_line(args, argv):
     from .clockspec import NU0_OFFSET_HZ, quality_factor, rabi_lineshape
     duration = args.duration
     omega = math.pi / duration if args.pi else TWO_PI * args.rabi
+    if not 0.0 < omega * omega < math.inf:
+        raise ValidationError(f"{'--duration' if args.pi else '--rabi'}: Omega = {omega:g} rad/s "
+                              "has no finite nonzero square")
+    if not math.isfinite((TWO_PI * args.span) * (TWO_PI * args.span)):
+        raise ValidationError(f"--span: (2 pi x {args.span:g} Hz)^2 overflows")
     grid = _detuning_grid(args.span, args.points, "--span/--points")
     trace = rabi_lineshape(omega, duration, grid, args.saturation)
     nu_clock = float(NU0_OFFSET_HZ)
@@ -706,14 +712,19 @@ def _run_zeeman(args, argv):
 
 
 def _run_sidebands(args, argv):
+    # the red/blue weight ratio, as sideband_spectrum weighs the sidebands
+    blue = args.eta**2 * (args.nbar + 1.0)
+    ratio = args.eta**2 * args.nbar / blue if blue > 0 else 0.0
+    if not ratio < 1.0:  # nbar of about 1e16 or more, or eta^2 subnormal
+        raise ValidationError(f"--nbar/--eta: the red/blue sideband ratio at --nbar "
+                              f"{args.nbar:g} and --eta {args.eta:g} rounds to 1")
+    if args.width / 2.0 == 0.0:
+        raise ValidationError(f"--width: half of {args.width:g} Hz underflows to 0")
     from .clockspec import nbar_from_asymmetry, sideband_spectrum
     span = args.span if args.span is not None else 1.6 * args.nu_z
     grid = _detuning_grid(span, args.points,
                           "--span/--points" if args.span is not None else "--nu-z/--points")
     trace = sideband_spectrum(args.eta, args.nu_z, args.nbar, args.width, grid)
-    weights = {f.name: f.weight for f in trace.labels}
-    ratio = (weights["red_sideband"] / weights["blue_sideband"]
-             if weights["blue_sideband"] > 0 else 0.0)
     return _finish(args, argv, ["detuning_hz", "amplitude"],
                    _trace_rows(trace),
                    {"eta": args.eta, "nbar": args.nbar, "nu_z_hz": args.nu_z},
@@ -744,21 +755,36 @@ def _cavity_system(args, delta_b: float = 0.0, delta_e: float = 0.0):
                         delta_e=TWO_PI * delta_e, n_max=args.nmax)
 
 
+def _drive(args, kappa: float, fraction: float) -> float:
+    """--drive in rad/s, by default ``fraction`` x kappa. A given drive must
+    leave the transmission's scale (kappa / drive)^2 finite and nonzero."""
+    if args.drive is None:
+        return fraction * kappa
+    drive = TWO_PI * args.drive
+    if not 0.0 < (kappa / drive) * (kappa / drive) < math.inf:
+        raise ValidationError(f"--drive/--kappa: (kappa / drive)^2 at --drive {args.drive:g} Hz "
+                              f"and --kappa {args.kappa:g} Hz is out of range")
+    return drive
+
+
 def _run_cavity_spectrum(args, argv):
     if args.g2 and args.nmax < 3:  # g2(0) needs 3 Fock levels
         raise ValidationError(f"--nmax must be >= 3 with --g2, got '{args.nmax}'")
-    # before numpy loads: the window (default +-2 g0) must increase, with a finite width in rad/s
+    # before numpy loads: the window (default +-2 g0) must increase, and its width and
+    # the FORT-shift difference must be finite in rad/s
     lo = args.lo if args.lo is not None else -2.0 * args.g0
     hi = args.hi if args.hi is not None else +2.0 * args.g0
     if not lo < hi:
         raise ValidationError(f"--from {lo:g} Hz must be below --to {hi:g} Hz")
     if not math.isfinite(TWO_PI * hi - TWO_PI * lo):
         raise ValidationError(f"--from/--to: a window from {lo:g} to {hi:g} Hz overflows in rad/s")
+    if not math.isfinite(TWO_PI * args.delta_e - TWO_PI * args.delta_b):
+        raise ValidationError("--delta-e/--delta-b: their difference in rad/s overflows")
     import numpy as np
 
     from .cavityqed import vacuum_rabi_spectrum
     sys_ = _cavity_system(args, args.delta_b, args.delta_e)
-    drive = TWO_PI * args.drive if args.drive is not None else 1e-3 * sys_.kappa
+    drive = _drive(args, sys_.kappa, 1e-3)
     grid = np.linspace(TWO_PI * lo, TWO_PI * hi, args.points)
     result = vacuum_rabi_spectrum(sys_, drive, grid, with_g2=args.g2)
     g2 = result.g2 if result.g2 is not None else [None] * args.points
@@ -774,10 +800,13 @@ def _run_cavity_spectrum(args, argv):
 def _run_blockade(args, argv):
     from .cavityqed import blockade_detuning, g2_zero
     sys_ = _cavity_system(args)
-    drive = TWO_PI * args.drive if args.drive is not None else 0.1 * sys_.kappa
+    drive = _drive(args, sys_.kappa, 0.1)
     lower, two_photon = -sys_.g0, -sys_.g0 / math.sqrt(2.0)
-    g2_lower = g2_zero(sys_, drive, lower)
-    g2_two = g2_zero(sys_, drive, two_photon)
+    try:
+        g2_lower = g2_zero(sys_, drive, lower)
+        g2_two = g2_zero(sys_, drive, two_photon)
+    except ValidationError as exc:  # the drive is lost against g0, kappa and gamma
+        raise ValidationError(f"--g0/--kappa/--gamma/--drive: {exc}") from None
     detuning = blockade_detuning(sys_.g0)
     return _finish(args, argv, ["probe", "omega_p_over_2pi_hz", "g2"],
                    [["lower_polariton", lower / TWO_PI, g2_lower],

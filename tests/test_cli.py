@@ -585,30 +585,31 @@ def test_clock_line_carrier_node_reports_undefined_fwhm(tmp_path, monkeypatch, c
         np.column_stack((trace.detuning_hz, trace.response)).tolist()
 
 
-def run_fresh(argv, cwd):
+def run_fresh(argv, cwd, **env):
     """A fresh ``python -m magictrap`` process, so numpy's RuntimeWarnings
     would reach its stderr."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **env}
     return subprocess.run([sys.executable, "-m", "magictrap", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True)
 
 
-@pytest.mark.parametrize("argv", [
-    ["clock-line", "--duration", "0.5s", "--rabi", "1e-300hz"],  # Omega^2 underflows to 0
-    ["clock-line", "--duration", "1e-300s", "--pi"],  # Omega^2 overflows
-], ids=["omega-squared-underflows", "omega-squared-overflows"])
-def test_rabi_without_a_finite_square_exits_1_quietly(argv, tmp_path):
+@pytest.mark.parametrize("flag, argv", [
+    ("--rabi", ["clock-line", "--duration", "0.5s", "--rabi", "1e-300hz"]),  # Omega^2 underflows
+    ("--duration", ["clock-line", "--duration", "1e-300s", "--pi"]),  # Omega^2 overflows
+    ("--span", ["clock-line", "--duration", "0.5s", "--pi", "--span", "1e300hz"]),  # the grid's w^2
+], ids=["omega-squared-underflows", "omega-squared-overflows", "span-squared-overflows"])
+def test_rabi_without_a_finite_square_exits_1_quietly(flag, argv, tmp_path):
     proc = run_fresh(argv, tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"magictrap: {flag}: ")
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
     ["clock-line", "--duration", "1e-200s", "--rabi", "1e150hz"],  # w^2 of the FWHM walk
-    ["clock-line", "--duration", "0.5s", "--pi", "--span", "1e300hz"],  # w^2 of the grid
-], ids=["fwhm-walk-overflows", "grid-overflows"])
+], ids=["fwhm-walk-overflows"])
 def test_rabi_overflow_exits_2_quietly(argv, tmp_path):
     proc = run_fresh(argv, tmp_path)
     assert proc.returncode == 2, proc.stderr
@@ -722,6 +723,24 @@ def test_floats_match_numpy_detuning_grid(points):
         assert np.array(grid).tobytes() == ref.tobytes(), span
     with pytest.raises(ValidationError, match="^--span/--points: "):
         cli._detuning_grid(1e-321, 2000, "--span/--points")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sidebands", "--eta", "0.3", "--nu-z", "49khz", "--nbar", "1e16", "--width", "3khz"],
+    ["sidebands", "--eta", "0.99", "--nu-z", "1hz", "--nbar", "1e308", "--width", "1e9hz",
+     "--points", "5"],  # the spectrum's Lorentzian sum overflows
+    ["sidebands", "--eta", "2.2250738585072014e-162", "--nu-z", "49khz", "--nbar", "1.5",
+     "--width", "3khz"],  # eta^2 nbar and eta^2 (nbar + 1) round to one subnormal
+], ids=["nbar-1e16", "nbar-1e308", "eta-squared-subnormal"])
+def test_sideband_ratio_that_rounds_to_1_exits_with_one_line(argv, tmp_path):
+    """Refused from the flags before the spectrum: one line naming --nbar,
+    no RuntimeWarning, and no numpy for a grid of floats."""
+    proc = run_fresh(argv, tmp_path, PYTHONPROFILEIMPORTTIME="1")
+    lines = [line for line in proc.stderr.splitlines() if not line.startswith("import time:")]
+    assert proc.returncode == 1, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("magictrap: --nbar"), lines
+    assert not re.search(r" numpy$", proc.stderr, re.M)
+    assert list(tmp_path.iterdir()) == []
 
 
 FLOAT_GRIDS = [

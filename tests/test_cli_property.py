@@ -1,6 +1,8 @@
-"""Property test over ``cli.run``: any argv built from small valid values
+"""Property tests over ``cli.run``: any argv built from small valid values
 and edge tokens ends in exit 0, 1 or 2, without a traceback, and every file
-it leaves parses as CSV or JSON holding only finite numbers."""
+it leaves parses as CSV or JSON holding only finite numbers; and each
+numeric flag at each of its documented edges ends in exit 0, or exit 1 with
+one line naming a flag."""
 
 import contextlib
 import io
@@ -8,10 +10,12 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 
+from magictrap.cli import COMMANDS as FLAG_TABLE
 from magictrap.cli import run
 
 pytest.importorskip("hypothesis")
@@ -165,3 +169,88 @@ def test_every_argv_ends_in_a_documented_exit(argv):
         for path in Path(work).iterdir():
             assert not path.name.endswith(".tmp"), f"temp file left: {path.name}"
             check_output(path)
+
+
+
+# the last floats the RANGES rules accept (README "Command line"; tests/test_cli.py
+# pins them): a length in m, a frequency in Hz
+RANGE_BOUNDS = {"length": (1.4048915207848729e-145, 1.3407807929942596e+154),
+                "frequency": (2.861117485757028e+307,)}
+SI_SUFFIX = {"length": "m", "frequency": "hz", "time": "s", "power": "w", "intensity": "w_m2",
+             "bfield": "t", "accel": "mps2"}
+SCAN_FLAGS = {"--species": "sr87", "--state1": "1S0", "--state2": "3P0", "--from": "700nm",
+              "--to": "900nm"}
+CAVITY_FLAGS = {"--g0": "20e6hz", "--kappa": "2e6hz", "--gamma": "2e6hz"}
+# the smallest run of each command (None marks a switch); a flag at an edge
+# replaces its own entry and the one it excludes
+SMALL = {
+    "polarizability": SCAN_FLAGS,
+    "magic": SCAN_FLAGS,
+    "trap": {"--species": "sr87", "--lattice-lambda": "813.428nm", "--waist": "30um",
+             "--depth-erec": "50"},
+    "clock-line": {"--duration": "0.5s", "--pi": None},
+    "zeeman": {"--dg": "108.4hz", "--field": "0.3mt"},
+    "sidebands": {"--eta": "0.31", "--nu-z": "49khz", "--nbar": "1", "--width": "3khz"},
+    "cavity-spectrum": {**CAVITY_FLAGS, "--points": "2"},
+    "blockade": CAVITY_FLAGS,
+    "ladder": {"--g0": "1e6hz", "--n": "2"},
+}
+EXCLUDES = {"--power": "--depth-erec", "--intensity": "--depth-erec", "--rabi": "--pi"}
+# cavity-spectrum at its --points cap solves 1e6 steady states, minutes of
+# work; the cap itself is Flag.convert's, as for every other command
+TOO_SLOW = {("cavity-spectrum", "--points", 1_000_000.0)}
+
+
+def documented_edges(flag) -> list[float]:
+    """Each bound of a flag, its low, its cap and its dimension's RANGES
+    bounds (of either sign where it takes any sign), with the next float on
+    either side."""
+    bounds = [b for b in (flag.low, flag.cap) if b is not None]
+    for b in RANGE_BOUNDS.get(flag.kind, ()):
+        bounds += [b] if flag.low is not None else [b, -b]
+    return sorted({x for b in bounds
+                   for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))})
+
+
+def run_quietly(argv) -> tuple[object, str]:
+    """(exit code, stderr) of an in-process run in a fresh directory, with
+    every warning an error: the warning's repr in place of a code."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        os.chdir(work)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(argv)
+        except Warning as warning:
+            code = repr(warning)
+        finally:
+            os.chdir(home)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(SMALL))
+def test_each_numeric_flag_at_its_documented_edges(command):
+    """Each numeric flag, one at a time, at every edge of its range: exit 0,
+    or exit 1 with one line naming a flag; never exit 2, a traceback or a
+    warning."""
+    flags = FLAG_TABLE[command].flags
+    failures = []
+    for flag in flags:
+        if flag.kind in ("str", "bool"):
+            continue
+        for value in documented_edges(flag):
+            if (command, flag.name, value) in TOO_SLOW:
+                continue
+            argv = [command]
+            for name, raw in SMALL[command].items():
+                if name not in (flag.name, EXCLUDES.get(flag.name)):
+                    argv += [name] if raw is None else [name, raw]
+            argv.append(f"{flag.name}={value!r}{SI_SUFFIX.get(flag.kind, '')}")
+            code, err = run_quietly(argv)
+            lines = err.splitlines()
+            if not (code == 0 or (code == 1 and len(lines) == 1
+                                  and any(f.name in lines[0] for f in flags))):
+                failures.append((" ".join(argv), code, err))
+    assert not failures, "\n".join(map(repr, failures))

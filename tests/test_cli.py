@@ -757,11 +757,15 @@ def test_one_switch_moves_every_float_grid(tmp_path, monkeypatch, capsys):
     import magictrap.pairwise as pairwise
     import magictrap.polarizability as polarizability
     grids = []
-    evaluate, sums = clockspec._evaluate, polarizability._StateTerms.sums
-    monkeypatch.setattr(clockspec, "_evaluate", lambda formula, points, **errstate: (
-        grids.append(type(points)), evaluate(formula, points, **errstate))[1])
-    monkeypatch.setattr(polarizability._StateTerms, "sums", lambda self, omega, *a: (
-        grids.append(type(omega)), sums(self, omega, *a))[1])
+
+    def spy(real):
+        def wrapper(*args, **kwargs):
+            grids.append(type(args[1]))  # the points of _evaluate, the omega of sums
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(clockspec, "_evaluate", spy(clockspec._evaluate))
+    monkeypatch.setattr(polarizability._StateTerms, "sums", spy(polarizability._StateTerms.sums))
     monkeypatch.chdir(tmp_path)
     for argv in FLOAT_GRIDS:
         runs = []

@@ -171,7 +171,6 @@ def test_every_argv_ends_in_a_documented_exit(argv):
             check_output(path)
 
 
-
 # the last floats the RANGES rules accept (README "Command line"; tests/test_cli.py
 # pins them): a length in m, a frequency in Hz
 RANGE_BOUNDS = {"length": (1.4048915207848729e-145, 1.3407807929942596e+154),
@@ -196,8 +195,8 @@ SMALL = {
     "ladder": {"--g0": "1e6hz", "--n": "2"},
 }
 EXCLUDES = {"--power": "--depth-erec", "--intensity": "--depth-erec", "--rabi": "--pi"}
-# cavity-spectrum at its --points cap solves 1e6 steady states, minutes of
-# work; the cap itself is Flag.convert's, as for every other command
+# left out: cavity-spectrum at its --points cap solves 1e6 steady states,
+# minutes of work
 TOO_SLOW = {("cavity-spectrum", "--points", 1_000_000.0)}
 
 

@@ -394,7 +394,8 @@ def test_find_magic_branches_give_the_same_points(name, states, points, monkeypa
     assert repr(floats) == repr(arrays)
 
 
-LONE_LEVEL = (f"species X mass_kg 1e-25 I 0\nlevel g energy_hz 0 J 0\nlevel e energy_hz 4e14 J 1\n"
+# x is a level that no line touches
+LONE_LEVEL = ("species X mass_kg 1e-25 I 0\nlevel g energy_hz 0 J 0\nlevel e energy_hz 4e14 J 1\n"
               f"level x energy_hz 1e14 J 1\nline g e lambda_nm {C / 4e14 * 1e9!r} d_au 1\n")
 
 

@@ -786,7 +786,10 @@ def _run_cavity_spectrum(args, argv):
     sys_ = _cavity_system(args, args.delta_b, args.delta_e)
     drive = _drive(args, sys_.kappa, 1e-3)
     grid = np.linspace(TWO_PI * lo, TWO_PI * hi, args.points)
-    result = vacuum_rabi_spectrum(sys_, drive, grid, with_g2=args.g2)
+    try:
+        result = vacuum_rabi_spectrum(sys_, drive, grid, with_g2=args.g2)
+    except ValidationError as exc:  # a probe point whose steady state holds no photons
+        raise ValidationError(f"--g2: {exc}") from None
     g2 = result.g2 if result.g2 is not None else [None] * args.points
     rows = [[w / TWO_PI, t, n, g]
             for w, t, n, g in zip(result.omega_p, result.transmission, result.mean_n, g2)]

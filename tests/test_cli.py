@@ -782,6 +782,16 @@ def test_one_switch_moves_every_float_grid(tmp_path, monkeypatch, capsys):
         assert on_floats == on_arrays, argv
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--g0/--kappa/--gamma/--drive", ["blockade", "--g0", "2.8e307hz", *CAVITY_RATES]),
+    ("--g2", ["cavity-spectrum", "--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2.8e307hz",
+              "--from=-2.8e307hz", "--points", "5", "--g2"]),
+], ids=["blockade", "cavity-spectrum-g2"])
+def test_steady_state_without_photons_names_its_flags(flag, argv, tmp_path):
+    # the drive vanishes against the largest rate, so g2(0) = <n(n-1)>/<n>^2 is 0/0
+    assert_one_line_refusal(flag, argv, tmp_path)
+
+
 def assert_one_line_refusal(flag, argv, tmp_path):
     proc = run_fresh(argv, tmp_path)
     assert proc.returncode == 1, proc.stderr

@@ -35,7 +35,7 @@ import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import HBAR, VACUUM_PERMITTIVITY
-from .errors import NumericalError, ValidationError, checked
+from .errors import NoPhotonsError, NumericalError, ValidationError, checked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -313,12 +313,16 @@ class _CoherenceBlocks:
                 s[0, self.pops] = 1.0
                 x0.append(np.linalg.solve(s, rhs)[:, 0])
             x0 = np.array(x0)
+            if not np.all(np.isfinite(x0)):
+                raise np.linalg.LinAlgError("steady-state solve returned non-finite entries")
         except np.linalg.LinAlgError as exc:
+            if min(self.sys.kappa, self.sys.gamma) / self.scale < np.finfo(float).tiny:
+                # a decay rate subnormal or 0 in the scaled generator: its damping is lost
+                raise ValidationError(f"kappa {self.sys.kappa:g} or gamma {self.sys.gamma:g} rad/s "
+                                      f"vanishes beside the largest rate, {self.scale:g}") from None
             raise NumericalError(
                 f"singular Liouvillian ({self.sys}, drive={self.drive}, "
                 f"omega_p={omega_p.min()}..{omega_p.max()}): {exc}") from exc
-        if not np.all(np.isfinite(x0)):
-            raise NumericalError("steady-state solve returned non-finite entries")
         return x0
 
     def rho(self, x0: np.ndarray, transfers) -> np.ndarray:
@@ -353,7 +357,7 @@ def _observables(sys: CavitySystem, drive: float, pops: np.ndarray):
 def _g2(pops: np.ndarray, mean_n):
     import numpy as np
     if np.any(mean_n <= 0.0):
-        raise ValidationError("g2(0) undefined: steady state holds no photons")
+        raise NoPhotonsError("g2(0) undefined: steady state holds no photons")
     photons = np.arange(pops.shape[-1]) // 2
     return pops @ (photons * (photons - 1)) / mean_n**2
 

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__, data_dir
-from .errors import NumericalError, ValidationError
+from .errors import NoPhotonsError, NumericalError, ValidationError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -624,6 +624,10 @@ def _run_trap(args, argv):
     if state is None:
         state = next(lv.label for lv in species.levels if lv.energy_hz == 0.0)
     geom = GaussianBeam(args.waist) if args.gaussian else Lattice1D(args.waist)
+    z0 = geom.rayleigh_range(lam) if args.gaussian else 1.0
+    if not 0.0 < z0 * z0 < math.inf:  # the Gaussian axial curvature divides by z0^2
+        raise ValidationError(f"--waist/--lattice-lambda: the squared Rayleigh range of a "
+                              f"{args.waist:g} m waist at {lam:g} m is out of range")
     alpha = alpha_scalar(species, state, lam)
     if args.depth_erec is not None:
         depth_j = args.depth_erec * e_rec
@@ -632,6 +636,9 @@ def _run_trap(args, argv):
         depth_j = abs(stark_shift(alpha, intensity_at(field, geom, 0.0, 0.0)).potential_j)
     tp = trap_parameters(depth_j, geom, lam, species.mass_kg,
                          args.probe if args.probe is not None else lam, args.gravity)
+    if bad := [name for name, value in zip(tp._fields, tp) if not math.isfinite(value)]:
+        raise ValidationError(f"--lattice-lambda/--waist: a trap at {lam:g} m with a "
+                              f"{args.waist:g} m waist has no finite {', '.join(bad)}")
     rows = [["state", state, ""], ["alpha_scalar_au", alpha.alpha_scalar_au, "a.u."],
             ["depth", tp.depth_j, "J"], ["depth_rec", tp.depth_rec, "E_rec"],
             ["depth_hz", tp.depth_hz, "Hz"], ["nu_axial_hz", tp.nu_axial_hz, "Hz"],
@@ -649,15 +656,11 @@ def _run_trap(args, argv):
 
 def _detuning_grid(span: float, points: int, flags: str) -> list[float] | np.ndarray:
     """``points`` detunings from -span to +span, as ``np.linspace(-span,
-    span, points)`` spaces them, a list or an array by
-    ``pairwise.FLOAT_POINTS``. Refused in one line naming ``flags`` where a
-    step does not increase (a subnormal span spread over many points)."""
-    from .pairwise import FLOAT_POINTS, increasing, linspace
-    if points > FLOAT_POINTS:
-        import numpy as np
-        grid = np.linspace(-span, span, points)
-    else:
-        grid = linspace(-span, span, points)
+    span, points)`` spaces them, a list or an array as ``pairwise.linspace``
+    decides. Refused in one line naming ``flags`` where a step does not
+    increase (a subnormal span spread over many points)."""
+    from .pairwise import increasing, linspace
+    grid = linspace(-span, span, points)
     if not increasing(grid):
         raise ValidationError(f"{flags}: a span of +-{span:g} Hz is too narrow for {points} "
                               "increasing points")
@@ -788,8 +791,10 @@ def _run_cavity_spectrum(args, argv):
     grid = np.linspace(TWO_PI * lo, TWO_PI * hi, args.points)
     try:
         result = vacuum_rabi_spectrum(sys_, drive, grid, with_g2=args.g2)
-    except ValidationError as exc:  # a probe point whose steady state holds no photons
+    except NoPhotonsError as exc:  # a probe point whose steady state holds no photons
         raise ValidationError(f"--g2: {exc}") from None
+    except ValidationError as exc:  # a decay rate lost beside the largest rate
+        raise ValidationError(f"--kappa/--gamma: {exc}") from None
     g2 = result.g2 if result.g2 is not None else [None] * args.points
     rows = [[w / TWO_PI, t, n, g]
             for w, t, n, g in zip(result.omega_p, result.transmission, result.mean_n, g2)]
@@ -808,7 +813,7 @@ def _run_blockade(args, argv):
     try:
         g2_lower = g2_zero(sys_, drive, lower)
         g2_two = g2_zero(sys_, drive, two_photon)
-    except ValidationError as exc:  # the drive is lost against g0, kappa and gamma
+    except ValidationError as exc:  # no photons, or a decay rate lost, beside the largest rate
         raise ValidationError(f"--g0/--kappa/--gamma/--drive: {exc}") from None
     detuning = blockade_detuning(sys_.g0)
     return _finish(args, argv, ["probe", "omega_p_over_2pi_hz", "g2"],

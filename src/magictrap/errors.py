@@ -14,6 +14,10 @@ class CatalogError(ValidationError):
     """Species file failed to parse or violated a catalog invariant."""
 
 
+class NoPhotonsError(ValidationError):
+    """g2(0) asked of a steady state that holds no photons."""
+
+
 class PoleError(MagicTrapError, ValueError):
     """Requested wavelength sits inside the guard band of a catalog line."""
 

@@ -1,23 +1,47 @@
 """Float arithmetic in numpy's order without numpy, and where it runs.
 
-FLOAT_POINTS is the rule: a grid of at most that many points (every default
-grid of the magic search, `clock-line` and `sidebands`) is a list, built by
-``linspace`` and evaluated a point at a time on floats with numpy's bits; a
-larger one is a numpy array. Code handed a grid takes its mode from its type.
+FLOAT_POINTS is the rule: ``linspace`` and ``geomspace`` give a grid of at
+most that many points (every default grid of the magic search, `clock-line`
+and `sidebands`) as a list, evaluated a point at a time on floats with
+numpy's bits, and a larger one as a numpy array with the same bits. Code
+handed a grid takes its mode from its type.
 """
 
 from __future__ import annotations
 
+import math
+
 FLOAT_POINTS = 2000
 
 
-def linspace(lo: float, hi: float, n: int) -> list[float]:
+def linspace(lo: float, hi: float, n: int):
     """n points from lo to hi with the bits of ``np.linspace(lo, hi, n)``
-    (k * step + lo, the last exact) wherever its step is not 0."""
+    (k * step + lo, the last exact) wherever its step is not 0: that array
+    above FLOAT_POINTS, else a list."""
+    if n > FLOAT_POINTS:
+        import numpy as np
+        return np.linspace(lo, hi, n)
     step = (hi - lo) / max(n - 1, 1)
     grid = [k * step + lo for k in range(n)]
     if n > 1:
         grid[-1] = hi
+    return grid
+
+
+def geomspace(lo: float, hi: float, n: int):
+    """``np.geomspace(lo, hi, n)`` for lo > 0, in ``linspace``'s container:
+    its exponents raised by libm's pow (Python's ``**``, or
+    ``np.float_power``, where ``np.power`` may take a CPU-dependent SIMD
+    kernel), both ends exact, so its bits do not depend on numpy's
+    dispatch."""
+    exponents = linspace(math.log10(lo), math.log10(hi), n)
+    if isinstance(exponents, list):
+        grid = [10.0 ** y for y in exponents]
+    else:
+        import numpy as np
+        grid = np.float_power(10.0, exponents)
+    if n:  # hi first, so that one point is [lo]
+        grid[-1], grid[0] = hi, lo
     return grid
 
 

@@ -15,9 +15,9 @@ state's pole table ``poles_au`` (|w_ki|), which the pole guards and the
 magic search's segment edges read. ``_StateTerms.sums`` adds one line's
 term num_k / (w_ki^2 - w^2) at a time, for a float omega or a scan grid,
 in the order of numpy's ``.sum(axis=-1)`` over (points x lines), so its
-results keep the bits of that reduction. A magic search grid follows
-``pairwise.FLOAT_POINTS``; a single wavelength and a pole check run on
-floats, a scan grid in numpy.
+results keep the bits of that reduction. Search and scan grids are
+``pairwise.geomspace``'s. A magic search follows ``pairwise.FLOAT_POINTS``;
+a single wavelength and a pole check run on floats, a scan grid in numpy.
 
 Field convention: U = -alpha * I / (2 eps0 c) with I the local
 time-averaged intensity. Hyperpolarizability O(E^4) is omitted throughout.
@@ -34,7 +34,7 @@ from .constants import (HARTREE_HZ, PLANCK, POLARIZABILITY_AU, SPEED_OF_LIGHT,
                         VACUUM_PERMITTIVITY)
 from .errors import PoleError, ValidationError
 from . import pairwise
-from .pairwise import linspace, pairwise_sum
+from .pairwise import geomspace, pairwise_sum
 
 # Relative detuning below which a requested wavelength is rejected as
 # sitting on a catalog resonance.
@@ -228,16 +228,6 @@ def differential_clock_shift(species: Species, state1: str, state2: str,
     return -diff_si * intensity_w_m2 / (2.0 * VACUUM_PERMITTIVITY * SPEED_OF_LIGHT * PLANCK)
 
 
-def _log_grid(lo: float, hi: float, n: int) -> list[float]:
-    """n >= 2 points from lo to hi spaced as np.geomspace spaces them: the
-    exponents of np.linspace from log10(lo) to log10(hi), each raised by
-    Python's ``**``, with both ends exact. Its bits do not depend on numpy's
-    SIMD kernels."""
-    grid = [10.0 ** y for y in linspace(math.log10(lo), math.log10(hi), n)]
-    grid[0], grid[-1] = lo, hi
-    return grid
-
-
 def find_magic(species: Species, state1: str, state2: str,
                search: tuple[float, float],
                pol: Polarization | None = None,
@@ -250,10 +240,10 @@ def find_magic(species: Species, state1: str, state2: str,
     ``m1``/``m2`` (with ``pol``) resolves those sublevels instead, for any J
     (an m that is not a sublevel of its state is rejected). The interval is
     split at every catalog pole of either state; each pole-free segment is
-    scanned on a log-spaced grid (``_log_grid``, evaluated as
-    ``pairwise.FLOAT_POINTS`` sets out) and sign changes are bisected to a
-    relative wavelength tolerance of REFINE_TOL (well inside the documented
-    1e-9). An empty list means no crossing; identical states are rejected.
+    scanned on a log-spaced grid (``pairwise.geomspace``, evaluated on floats
+    up to ``pairwise.FLOAT_POINTS`` search points, in numpy above) and sign
+    changes are bisected to a relative wavelength tolerance of REFINE_TOL
+    (well inside the documented 1e-9). An empty list means no crossing; identical states are rejected.
     """
     if state1 == state2:
         raise ValidationError("state1 = state2: difference is identically zero")
@@ -294,18 +284,18 @@ def find_magic(species: Species, state1: str, state2: str,
         if seg_hi <= seg_lo:
             continue
         n = max(8, int(round(grid_points * math.log(seg_hi / seg_lo) / math.log(hi / lo))))
-        grid = _log_grid(seg_lo, seg_hi, n)
+        grid = geomspace(seg_lo, seg_hi, n)
         if grid_points <= pairwise.FLOAT_POINTS:
             values = [delta(lam) for lam in grid]
             steps = [i for i in range(n - 1)
                      if values[i] < 0 < values[i + 1] or values[i + 1] < 0 < values[i]]
         else:
             import numpy as np
-            values = delta(np.array(grid))
+            values = delta(np.asarray(grid))
             sign = np.sign(values)
             steps = np.nonzero(sign[:-1] * sign[1:] < 0)[0].tolist()
         for i in steps:  # each step whose ends have opposite signs
-            a, b = grid[i], grid[i + 1]
+            a, b = float(grid[i]), float(grid[i + 1])
             fa = float(values[i])
             bracket = (a, b)
             while (b - a) / b > REFINE_TOL:
@@ -341,7 +331,7 @@ def scan_delta_alpha(species: Species, state1: str, state2: str,
     import numpy as np
 
     terms1, terms2 = _StateTerms(species, state1), _StateTerms(species, state2)
-    lams = np.geomspace(lo_m, hi_m, points)
+    lams = np.asarray(geomspace(lo_m, hi_m, points))
     omega = (SPEED_OF_LIGHT / lams) / HARTREE_HZ
     keep = np.ones(lams.shape, dtype=bool)
     rel = np.empty_like(omega)  # |omega - w| / w, one pole at a time

@@ -792,6 +792,57 @@ def test_steady_state_without_photons_names_its_flags(flag, argv, tmp_path):
     assert_one_line_refusal(flag, argv, tmp_path)
 
 
+SHORTEST = "1.4048915207848729e-145m"  # the shortest length the range rule accepts
+SR87_TRAP = ["trap", "--species", "sr87", "--depth-erec", "50"]
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--waist/--lattice-lambda",
+     [*SR87_TRAP, "--lattice-lambda", "813.428nm", f"--waist={SHORTEST}", "--gaussian"]),
+    ("--waist/--lattice-lambda",
+     [*SR87_TRAP, "--lattice-lambda", "813.428nm", "--waist", "1e150m", "--gaussian"]),
+    ("--lattice-lambda/--waist", ["trap", "--species", "sr87", "--lattice-lambda", "813.428nm",
+                                  f"--waist={SHORTEST}", "--power", "0.5w"]),
+    ("--lattice-lambda/--waist",
+     [*SR87_TRAP, f"--lattice-lambda={SHORTEST}", f"--waist={SHORTEST}"]),
+    ("--lattice-lambda/--waist",
+     [*SR87_TRAP, "--lattice-lambda", "813.428nm", "--waist", "30um", "--gravity", "1e308mps2"]),
+], ids=["rayleigh-squared-underflows", "rayleigh-squared-overflows", "radial-overflows",
+        "shortest-lambda-and-waist", "site-offset-overflows"])
+def test_trap_outside_float_range_names_its_geometry(flag, argv, tmp_path):
+    # the Rayleigh range squared or a number of the table leaves the floats:
+    # refused before the table is written, not a division by zero or an inf
+    assert_one_line_refusal(flag, argv, tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["blockade", "--g0", "20e6hz", "--kappa", "5e-324hz", "--gamma", "5e-324hz"],
+    ["blockade", "--g0", "20e6hz", "--kappa", "5e-324hz", "--gamma", "2.861117485757028e+307hz"],
+    ["cavity-spectrum", "--g0", "20e6hz", "--kappa", "5e-324hz", "--gamma", "5e-324hz",
+     "--points", "5", "--nmax", "3"],
+    ["cavity-spectrum", "--g0", "20e6hz", "--kappa", "5e-324hz",
+     "--gamma", "2.861117485757028e+307hz", "--points", "5", "--nmax", "3"],
+    ["cavity-spectrum", "--g0", "20e6hz", "--kappa", "5e-324hz", "--gamma", "5e-324hz",
+     "--points", "5", "--nmax", "3", "--g2"],
+    ["cavity-spectrum", "--g0", "20e6hz", "--kappa", "5e-324hz",
+     "--gamma", "2.861117485757028e+307hz", "--points", "5", "--nmax", "3", "--g2"],
+], ids=["blockade-both-subnormal", "blockade-gamma-at-top", "spectrum-both-subnormal",
+        "spectrum-gamma-at-top", "spectrum-g2-both-subnormal", "spectrum-g2-gamma-at-top"])
+def test_decay_lost_beside_the_largest_rate_names_kappa_and_gamma(argv, tmp_path):
+    # kappa over the solve's rate scale underflows, so the generator loses its
+    # damping: refused in one line, not a singular Liouvillian; --g2 is not named
+    flag = "--g0/--kappa/--gamma/--drive" if argv[0] == "blockade" else "--kappa/--gamma"
+    assert_one_line_refusal(flag, argv, tmp_path)
+
+
+def test_one_vanishing_decay_rate_still_solves(tmp_path, monkeypatch):
+    """With only gamma lost beside the scale the cavity still damps the
+    steady state, so the spectrum is written as before."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["cavity-spectrum", "--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "5e-324hz",
+                "--points", "5", "--nmax", "3", "--out", "s.csv"]) == 0
+
+
 def assert_one_line_refusal(flag, argv, tmp_path):
     proc = run_fresh(argv, tmp_path)
     assert proc.returncode == 1, proc.stderr

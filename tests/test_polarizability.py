@@ -13,7 +13,7 @@ from magictrap.angular import CircularPolarization, LinearPolarization, wigner_6
 from magictrap.atomdata import bundled_species_path, load_species
 from magictrap.errors import PoleError, ValidationError
 from magictrap.pairwise import pairwise_sum
-from magictrap.polarizability import (POLE_GUARD, _log_grid, alpha_m_resolved,
+from magictrap.polarizability import (POLE_GUARD, alpha_m_resolved,
                                       alpha_scalar, differential_clock_shift,
                                       find_magic, scan_delta_alpha, stark_shift)
 
@@ -361,14 +361,30 @@ def test_line_sum_adds_in_numpys_order(n):
 @pytest.mark.parametrize("lo, hi, n", [
     (300e-9, 3000e-9, 2000), (700e-9, 900e-9, 8), (689.448e-9, 689.449e-9, 9),
     (1e-7, 1e2, 100001), (813.4e-9, 813.4000000001e-9, 17)])
-def test_log_grid_is_linspace_exponents_raised_by_python(lo, hi, n):
-    """np.geomspace's exponents, each raised by Python's ``**`` (libm's pow,
-    not numpy's SIMD kernel), with both ends exact."""
+def test_log_grid_is_linspace_exponents_raised_by_python(lo, hi, n, monkeypatch):
+    """pairwise.geomspace is np.geomspace's exponents, each raised by
+    Python's ``**`` (libm's pow, not numpy's SIMD kernel), with both ends
+    exact, as a list and as an array alike."""
     exponents = np.linspace(math.log10(lo), math.log10(hi), n)
-    want = [lo, *(10.0 ** float(y) for y in exponents[1:-1]), hi]
-    got = _log_grid(lo, hi, n)
-    assert all(type(x) is float for x in got)
-    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+    want = np.array([lo, *(10.0 ** float(y) for y in exponents[1:-1]), hi])
+    for points, container in ((10**9, list), (0, np.ndarray)):
+        monkeypatch.setattr(pairwise, "FLOAT_POINTS", points)
+        got = pairwise.geomspace(lo, hi, n)
+        assert type(got) is container
+        assert container is np.ndarray or all(type(x) is float for x in got)
+        assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("points", [1, 2, 25, 2001])
+def test_scan_grid_has_the_bits_of_geomspace(points, monkeypatch):
+    """scan_delta_alpha's wavelengths are pairwise.geomspace's list, bit
+    for bit (one point is [lo]), above FLOAT_POINTS too."""
+    species = load_species(bundled_species_path("sr87"))
+    lams = scan_delta_alpha(species, "1S0", "3P0", 700e-9, 900e-9, points)[0]
+    monkeypatch.setattr(pairwise, "FLOAT_POINTS", 10**9)
+    want = pairwise.geomspace(700e-9, 900e-9, points)
+    assert want[0] == 700e-9 and (points == 1 or want[-1] == 900e-9)
+    assert np.array_equal(lams.view(np.uint64), np.array(want).view(np.uint64))
 
 
 @pytest.mark.parametrize("name", ["sr87", "sr88"])

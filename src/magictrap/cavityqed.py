@@ -318,8 +318,9 @@ class _CoherenceBlocks:
         except np.linalg.LinAlgError as exc:
             if min(self.sys.kappa, self.sys.gamma) / self.scale < np.finfo(float).tiny:
                 # a decay rate subnormal or 0 in the scaled generator: its damping is lost
-                raise ValidationError(f"kappa {self.sys.kappa:g} or gamma {self.sys.gamma:g} rad/s "
-                                      f"vanishes beside the largest rate, {self.scale:g}") from None
+                raise ValidationError(
+                    f"kappa {self.sys.kappa:g} or gamma {self.sys.gamma:g} rad/s vanishes "
+                    f"beside the largest rate of the solve, {self.scale:g} rad/s") from None
             raise NumericalError(
                 f"singular Liouvillian ({self.sys}, drive={self.drive}, "
                 f"omega_p={omega_p.min()}..{omega_p.max()}): {exc}") from exc

@@ -29,11 +29,9 @@ def linspace(lo: float, hi: float, n: int):
 
 
 def geomspace(lo: float, hi: float, n: int):
-    """``np.geomspace(lo, hi, n)`` for lo > 0, in ``linspace``'s container:
-    its exponents raised by libm's pow (Python's ``**``, or
-    ``np.float_power``, where ``np.power`` may take a CPU-dependent SIMD
-    kernel), both ends exact, so its bits do not depend on numpy's
-    dispatch."""
+    """``np.geomspace(lo, hi, n)`` for lo > 0 in ``linspace``'s container, its
+    exponents raised by libm's pow (``**``, or ``np.float_power``: ``np.power``
+    may take a SIMD kernel) and both ends exact, under any numpy dispatch."""
     exponents = linspace(math.log10(lo), math.log10(hi), n)
     if isinstance(exponents, list):
         grid = [10.0 ** y for y in exponents]

@@ -243,7 +243,8 @@ def find_magic(species: Species, state1: str, state2: str,
     scanned on a log-spaced grid (``pairwise.geomspace``, evaluated on floats
     up to ``pairwise.FLOAT_POINTS`` search points, in numpy above) and sign
     changes are bisected to a relative wavelength tolerance of REFINE_TOL
-    (well inside the documented 1e-9). An empty list means no crossing; identical states are rejected.
+    (well inside the documented 1e-9). An empty list means no crossing;
+    identical states are rejected.
     """
     if state1 == state2:
         raise ValidationError("state1 = state2: difference is identically zero")

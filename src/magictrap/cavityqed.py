@@ -357,7 +357,8 @@ def _observables(sys: CavitySystem, drive: float, pops: np.ndarray):
 
 def _g2(pops: np.ndarray, mean_n):
     import numpy as np
-    if np.any(mean_n <= 0.0):
+    # <n>^2 below the normal floats: <n(n-1)> may underflow with it, to 0 / 0
+    if np.any((mean_n <= 0.0) | (mean_n * mean_n < np.finfo(float).tiny)):
         raise NoPhotonsError("g2(0) undefined: steady state holds no photons")
     photons = np.arange(pops.shape[-1]) // 2
     return pops @ (photons * (photons - 1)) / mean_n**2

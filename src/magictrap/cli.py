@@ -562,6 +562,7 @@ def _emit_scan(species, args, fmt: str, path: Path, argv) -> int:
     from .polarizability import scan_delta_alpha
     lams, a1, a2, d = scan_delta_alpha(species, args.state1, args.state2,
                                        args.lo, args.hi, args.points)
+    _increasing(lams, "--from/--to/--points", f"{(args.hi - args.lo) * 1e9:.3g} nm", args.points)
     rows = np.column_stack((lams * 1e9, a1, a2, d))
     emit(SCAN_COLUMNS, rows, fmt, path, meta=_scan_meta(species, args), argv=argv)
     return len(rows)
@@ -654,17 +655,21 @@ def _run_trap(args, argv):
                    {"species": species.name, "state": state}, *summary)
 
 
-def _detuning_grid(span: float, points: int, flags: str) -> list[float] | np.ndarray:
-    """``points`` detunings from -span to +span, as ``np.linspace(-span,
-    span, points)`` spaces them, a list or an array as ``pairwise.linspace``
-    decides. Refused in one line naming ``flags`` where a step does not
-    increase (a subnormal span spread over many points)."""
-    from .pairwise import increasing, linspace
-    grid = linspace(-span, span, points)
+def _increasing(grid, flags: str, width: str, points: int):
+    """A grid a table is written on, refused in one line naming ``flags`` where
+    a step does not increase: a window of ``width`` too narrow for ``points``."""
+    from .pairwise import increasing
     if not increasing(grid):
-        raise ValidationError(f"{flags}: a span of +-{span:g} Hz is too narrow for {points} "
+        raise ValidationError(f"{flags}: a window of {width} is too narrow for {points} "
                               "increasing points")
     return grid
+
+
+def _detuning_grid(lo: float, hi: float, points: int, flags: str, unit: str = "Hz"):
+    """``points`` detunings from lo to hi, as ``np.linspace(lo, hi, points)``
+    spaces them, a list or an array as ``pairwise.linspace`` decides."""
+    from .pairwise import linspace
+    return _increasing(linspace(lo, hi, points), flags, f"{hi - lo:.3g} {unit}", points)
 
 
 def _trace_rows(trace) -> list | np.ndarray:
@@ -686,9 +691,12 @@ def _run_clock_line(args, argv):
     if not 0.0 < omega * omega < math.inf:
         raise ValidationError(f"{'--duration' if args.pi else '--rabi'}: Omega = {omega:g} rad/s "
                               "has no finite nonzero square")
+    if (area := omega * duration) < 1.0 and math.sin(area / 2.0) ** 2 / 2.0 < sys.float_info.min:
+        raise ValidationError(f"--rabi/--duration: the half maximum sin^2(Omega T / 2) / 2 of a "
+                              f"pulse of Omega T = {area:g} is subnormal")
     if not math.isfinite((TWO_PI * args.span) * (TWO_PI * args.span)):
         raise ValidationError(f"--span: (2 pi x {args.span:g} Hz)^2 overflows")
-    grid = _detuning_grid(args.span, args.points, "--span/--points")
+    grid = _detuning_grid(-args.span, args.span, args.points, "--span/--points")
     trace = rabi_lineshape(omega, duration, grid, args.saturation)
     nu_clock = float(NU0_OFFSET_HZ)
     if trace.fwhm_hz is None:  # e.g. Omega T = 2 pi puts a node on the carrier
@@ -725,7 +733,7 @@ def _run_sidebands(args, argv):
         raise ValidationError(f"--width: half of {args.width:g} Hz underflows to 0")
     from .clockspec import nbar_from_asymmetry, sideband_spectrum
     span = args.span if args.span is not None else 1.6 * args.nu_z
-    grid = _detuning_grid(span, args.points,
+    grid = _detuning_grid(-span, span, args.points,
                           "--span/--points" if args.span is not None else "--nu-z/--points")
     trace = sideband_spectrum(args.eta, args.nu_z, args.nbar, args.width, grid)
     return _finish(args, argv, ["detuning_hz", "amplitude"],
@@ -773,8 +781,8 @@ def _drive(args, kappa: float, fraction: float) -> float:
 def _run_cavity_spectrum(args, argv):
     if args.g2 and args.nmax < 3:  # g2(0) needs 3 Fock levels
         raise ValidationError(f"--nmax must be >= 3 with --g2, got '{args.nmax}'")
-    # before numpy loads: the window (default +-2 g0) must increase, and its width and
-    # the FORT-shift difference must be finite in rad/s
+    # before numpy loads: the window (default +-2 g0) and each step of its grid must
+    # increase, and its width and the FORT-shift difference must be finite in rad/s
     lo = args.lo if args.lo is not None else -2.0 * args.g0
     hi = args.hi if args.hi is not None else +2.0 * args.g0
     if not lo < hi:
@@ -783,12 +791,10 @@ def _run_cavity_spectrum(args, argv):
         raise ValidationError(f"--from/--to: a window from {lo:g} to {hi:g} Hz overflows in rad/s")
     if not math.isfinite(TWO_PI * args.delta_e - TWO_PI * args.delta_b):
         raise ValidationError("--delta-e/--delta-b: their difference in rad/s overflows")
-    import numpy as np
-
+    grid = _detuning_grid(TWO_PI * lo, TWO_PI * hi, args.points, "--from/--to/--points", "rad/s")
     from .cavityqed import vacuum_rabi_spectrum
     sys_ = _cavity_system(args, args.delta_b, args.delta_e)
     drive = _drive(args, sys_.kappa, 1e-3)
-    grid = np.linspace(TWO_PI * lo, TWO_PI * hi, args.points)
     try:
         result = vacuum_rabi_spectrum(sys_, drive, grid, with_g2=args.g2)
     except NoPhotonsError as exc:  # a probe point whose steady state holds no photons

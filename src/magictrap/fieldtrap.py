@@ -54,17 +54,14 @@ class GaussianBeam(NamedTuple):
 
 @checked
 class Lattice1D(NamedTuple):
-    """Retro-reflected standing wave. ``mirror_loss`` scales the ideal 4x
-    antinode interference factor (1.0 = lossless)."""
+    """Retro-reflected standing wave off a lossless mirror: 4x the single-beam
+    intensity at an antinode."""
 
     waist_m: float
-    mirror_loss: float = 1.0
 
     def _check(self):
         if self.waist_m <= 0:
             raise ValidationError("waist must be > 0")
-        if not 0.0 < self.mirror_loss <= 1.0:
-            raise ValidationError("mirror_loss must be in (0, 1]")
 
 
 TrapGeometry = GaussianBeam | Lattice1D
@@ -94,8 +91,7 @@ def intensity_at(field: FieldConfig, geom: TrapGeometry, r: float, z: float) -> 
     """Local intensity (W/m^2) at radial offset r and axial offset z.
 
     Gaussian beam: I0 / (1+(z/z0)^2) * exp(-2 r^2 / w(z)^2).
-    Lattice: 4 I0 cos^2(2 pi z / lambda) exp(-2 r^2 / w0^2), times the
-    mirror-loss factor.
+    Lattice: 4 I0 cos^2(2 pi z / lambda) exp(-2 r^2 / w0^2).
     """
     i0 = peak_intensity(field, geom)
     if isinstance(geom, GaussianBeam):
@@ -103,7 +99,7 @@ def intensity_at(field: FieldConfig, geom: TrapGeometry, r: float, z: float) -> 
         w2 = geom.waist_m**2 * (1.0 + (z / z0) ** 2)
         return i0 / (1.0 + (z / z0) ** 2) * math.exp(-2.0 * r**2 / w2)
     standing = math.cos(2.0 * math.pi * z / field.wavelength_m) ** 2
-    return 4.0 * geom.mirror_loss * i0 * standing * math.exp(-2.0 * r**2 / geom.waist_m**2)
+    return 4.0 * i0 * standing * math.exp(-2.0 * r**2 / geom.waist_m**2)
 
 
 def recoil(mass_kg: float, wavelength_m: float) -> tuple[float, float]:

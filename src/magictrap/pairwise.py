@@ -4,7 +4,8 @@ FLOAT_POINTS is the rule: ``linspace`` and ``geomspace`` give a grid of at
 most that many points (every default grid of the magic search, `clock-line`
 and `sidebands`) as a list, evaluated a point at a time on floats with
 numpy's bits, and a larger one as a numpy array with the same bits. Code
-handed a grid takes its mode from its type.
+handed a grid takes its mode from its type, and every grid a table is
+written on passes ``increasing`` first.
 """
 
 from __future__ import annotations

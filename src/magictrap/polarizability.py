@@ -15,9 +15,9 @@ state's pole table ``poles_au`` (|w_ki|), which the pole guards and the
 magic search's segment edges read. ``_StateTerms.sums`` adds one line's
 term num_k / (w_ki^2 - w^2) at a time, for a float omega or a scan grid,
 in the order of numpy's ``.sum(axis=-1)`` over (points x lines), so its
-results keep the bits of that reduction. Search and scan grids are
-``pairwise.geomspace``'s. A magic search follows ``pairwise.FLOAT_POINTS``;
-a single wavelength and a pole check run on floats, a scan grid in numpy.
+results keep the bits of that reduction. Search and scan grids come from
+``pairwise.geomspace``: a list is evaluated on floats, an array in numpy.
+A single wavelength and a pole check run on floats.
 
 Field convention: U = -alpha * I / (2 eps0 c) with I the local
 time-averaged intensity. Hyperpolarizability O(E^4) is omitted throughout.
@@ -33,7 +33,6 @@ from .atomdata import Species, TransitionLine
 from .constants import (HARTREE_HZ, PLANCK, POLARIZABILITY_AU, SPEED_OF_LIGHT,
                         VACUUM_PERMITTIVITY)
 from .errors import PoleError, ValidationError
-from . import pairwise
 from .pairwise import geomspace, pairwise_sum
 
 # Relative detuning below which a requested wavelength is rejected as
@@ -241,7 +240,7 @@ def find_magic(species: Species, state1: str, state2: str,
     (an m that is not a sublevel of its state is rejected). The interval is
     split at every catalog pole of either state; each pole-free segment is
     scanned on a log-spaced grid (``pairwise.geomspace``, evaluated on floats
-    up to ``pairwise.FLOAT_POINTS`` search points, in numpy above) and sign
+    when it is a list and in numpy when it is an array) and sign
     changes are bisected to a relative wavelength tolerance of REFINE_TOL
     (well inside the documented 1e-9). An empty list means no crossing;
     identical states are rejected.
@@ -286,13 +285,13 @@ def find_magic(species: Species, state1: str, state2: str,
             continue
         n = max(8, int(round(grid_points * math.log(seg_hi / seg_lo) / math.log(hi / lo))))
         grid = geomspace(seg_lo, seg_hi, n)
-        if grid_points <= pairwise.FLOAT_POINTS:
+        if isinstance(grid, list):
             values = [delta(lam) for lam in grid]
             steps = [i for i in range(n - 1)
                      if values[i] < 0 < values[i + 1] or values[i + 1] < 0 < values[i]]
         else:
             import numpy as np
-            values = delta(np.asarray(grid))
+            values = delta(grid)
             sign = np.sign(values)
             steps = np.nonzero(sign[:-1] * sign[1:] < 0)[0].tolist()
         for i in steps:  # each step whose ends have opposite signs

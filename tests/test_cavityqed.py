@@ -16,7 +16,7 @@ from magictrap.cavityqed import (CavitySystem, TruncationWarning,
                                  dressed_transitions,
                                  g2_zero, jc_ladder, mode_volume,
                                  steady_state, vacuum_rabi_spectrum)
-from magictrap.errors import NumericalError, ValidationError
+from magictrap.errors import NoPhotonsError, NumericalError, ValidationError
 
 TWO_PI = 2 * math.pi
 
@@ -611,3 +611,17 @@ class TestNonlinearSteadyStateOracle:
         mean_n, g2 = self._evolve(g, kappa, kappa, eps, -omega_p, 9, 60.0)
         assert ss.mean_n == pytest.approx(mean_n, rel=1e-8)
         assert g2_pkg == pytest.approx(g2, rel=1e-8)
+
+
+@pytest.mark.parametrize("mean_n, refused", [
+    (7.4e-217, True), (1e-154, True), (0.0, True), (2e-154, False), (0.5, False)])
+def test_g2_needs_a_normal_square_of_mean_n(mean_n, refused):
+    """g2(0) = <n(n-1)> / <n>^2 is refused where <n>^2 is not a normal float
+    (0 / 0 once the two-photon populations underflow with it), and a healthy
+    <n> without two-photon population keeps g2 = 0."""
+    pops = np.array([[1.0 - mean_n, 0.0, mean_n, 0.0, 0.0, 0.0]])  # all of <n> in n = 1
+    if refused:
+        with pytest.raises(NoPhotonsError, match="no photons"):
+            cavityqed._g2(pops, np.array([mean_n]))
+    else:
+        assert cavityqed._g2(pops, np.array([mean_n])).tolist() == [0.0]

@@ -607,6 +607,22 @@ def test_rabi_without_a_finite_square_exits_1_quietly(flag, argv, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_rabi_pulse_with_a_subnormal_half_maximum_exits_1(tmp_path, monkeypatch):
+    """Below Omega T of about 4e-154 the half maximum sin^2(Omega T / 2) / 2
+    is subnormal and the FWHM holds a few digits (0.271209 Hz against the
+    limit 0.8859 / T = 0.271307 Hz): refused before the lineshape, naming
+    --rabi/--duration. A pulse above it keeps its width."""
+    argv = ["clock-line", "--duration", "3.2653s", "--rabi", "5e-162hz"]
+    assert_one_line_refusal("--rabi/--duration: ", argv, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(clockspec, "rabi_lineshape", lambda *a: pytest.fail("lineshape computed"))
+        assert run(argv) == 1
+    assert run(["clock-line", "--duration", "3.2653s", "--rabi", "1e-150hz"]) == 0
+    fwhm = clockspec.rabi_lineshape(2 * math.pi * 1e-150, 3.2653, [0.0]).fwhm_hz
+    assert fwhm == pytest.approx(0.885893 / 3.2653, rel=1e-5)
+
+
 @pytest.mark.parametrize("argv", [
     ["clock-line", "--duration", "1e-200s", "--rabi", "1e150hz"],  # w^2 of the FWHM walk
 ], ids=["fwhm-walk-overflows"])
@@ -654,6 +670,7 @@ def test_overflowing_wavelength_exits_1_before_the_species_loads(flag, argv, tmp
 
 CAVITY_RATES = ["--kappa", "4.1e6hz", "--gamma", "2.6e6hz"]
 SIDEBANDS = ["sidebands", "--eta", "0.3", "--nbar", "1", "--width", "1khz"]
+NARROW_SCAN = [*SR87_CLOCK_STATES, "--from", "813nm", "--to", "813.0000000001nm", "--points", "500"]
 
 
 @pytest.mark.parametrize("flag, argv", [
@@ -699,30 +716,44 @@ def test_ladder_shift_pair_near_the_top_has_finite_offsets(tmp_path, monkeypatch
     ("--span/--points", [*SIDEBANDS, "--nu-z", "50khz", "--span", "1e-320hz",
                          "--points", "100000"]),
     ("--nu-z/--points", [*SIDEBANDS, "--nu-z", "1e-320hz", "--points", "100000"]),
-], ids=["clock-line-span", "sidebands-span", "sidebands-nu-z"])
+    # 500 rows of 63 wavelengths, the second below --from
+    ("--from/--to/--points", ["polarizability", *NARROW_SCAN]),
+    ("--from/--to/--points", ["magic", *NARROW_SCAN, "--scan-out", "scan.csv"]),
+    ("--from/--to/--points", ["cavity-spectrum", "--g0", "34e6hz", *CAVITY_RATES, "--nmax", "2",
+                              "--from", "0hz", "--to", "1e-322hz", "--points", "50"]),  # 24 values
+], ids=["clock-line-span", "sidebands-span", "sidebands-nu-z", "polarizability-window",
+        "magic-scan-out-window", "cavity-spectrum-window"])
 def test_too_narrow_span_exits_with_one_line(flag, argv, tmp_path):
-    # a subnormal half-span over many points repeats detunings
-    assert_one_line_refusal(flag, argv, tmp_path)
+    """A window too narrow for --points increasing points repeats or
+    reverses grid points: refused before any table is written, and for a
+    probe grid of floats before numpy loads."""
+    proc = assert_one_line_refusal(flag, argv, tmp_path, PYTHONPROFILEIMPORTTIME="1")
+    assert argv[0] != "cavity-spectrum" or not re.search(r" numpy$", proc.stderr, re.M)
 
 
 @pytest.mark.parametrize("points", [1, 2, 801, 1001, 2000])
 def test_floats_match_numpy_detuning_grid(points):
     """Up to 2000 points the grid is a list with the bits of np.linspace,
-    over seeded spans from subnormal to the top of the frequency range; a
-    span numpy spreads into repeated points is refused naming its flags."""
+    over seeded spans from subnormal to the top of the frequency range and
+    seeded cavity windows in rad/s of either sign; a window numpy spreads
+    into repeated points is refused naming its flags."""
     rng = np.random.default_rng(points)
     spans = [10.0, 5e-324, 2.861117485757028e+307, *10.0 ** rng.uniform(-323.3, 307.4, 60)]
-    for span in spans:
-        ref = np.linspace(-span, span, points)
+    windows = [(-span, span) for span in spans] + [(0.0, 2 * math.pi * 1e-322)]
+    for _ in range(60):
+        lo, hi = sorted(rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-323.3, 307.0, 2))
+        windows.append((2 * math.pi * lo, 2 * math.pi * hi))
+    for lo, hi in windows:
+        ref = np.linspace(lo, hi, points)
         if not np.all(np.diff(ref) > 0):
             with pytest.raises(ValidationError, match="^--span/--points: "):
-                cli._detuning_grid(span, points, "--span/--points")
+                cli._detuning_grid(lo, hi, points, "--span/--points")
             continue
-        grid = cli._detuning_grid(span, points, "--span/--points")
+        grid = cli._detuning_grid(lo, hi, points, "--span/--points")
         assert type(grid) is list
-        assert np.array(grid).tobytes() == ref.tobytes(), span
+        assert np.array(grid).tobytes() == ref.tobytes(), (lo, hi)
     with pytest.raises(ValidationError, match="^--span/--points: "):
-        cli._detuning_grid(1e-321, 2000, "--span/--points")
+        cli._detuning_grid(-1e-321, 1e-321, 2000, "--span/--points")
 
 
 @pytest.mark.parametrize("argv", [
@@ -786,7 +817,13 @@ def test_one_switch_moves_every_float_grid(tmp_path, monkeypatch, capsys):
     ("--g0/--kappa/--gamma/--drive", ["blockade", "--g0", "2.8e307hz", *CAVITY_RATES]),
     ("--g2", ["cavity-spectrum", "--g0", "20e6hz", "--kappa", "2e6hz", "--gamma", "2.8e307hz",
               "--from=-2.8e307hz", "--points", "5", "--g2"]),
-], ids=["blockade", "cavity-spectrum-g2"])
+    # <n> is positive, but its square and the two-photon populations underflow to 0
+    ("--g0/--kappa/--gamma/--drive",
+     ["blockade", "--g0", "20e6hz", "--kappa", "1e-100hz", "--gamma", "1e-100hz"]),
+    ("--g2", ["cavity-spectrum", "--g0", "20e6hz", "--kappa", "1e-100hz", "--gamma", "2e6hz",
+              "--points", "5", "--nmax", "3", "--g2"]),
+], ids=["blockade", "cavity-spectrum-g2", "blockade-subnormal-n-squared",
+        "cavity-spectrum-g2-subnormal-n-squared"])
 def test_steady_state_without_photons_names_its_flags(flag, argv, tmp_path):
     # the drive vanishes against the largest rate, so g2(0) = <n(n-1)>/<n>^2 is 0/0
     assert_one_line_refusal(flag, argv, tmp_path)
@@ -843,12 +880,15 @@ def test_one_vanishing_decay_rate_still_solves(tmp_path, monkeypatch):
                 "--points", "5", "--nmax", "3", "--out", "s.csv"]) == 0
 
 
-def assert_one_line_refusal(flag, argv, tmp_path):
-    proc = run_fresh(argv, tmp_path)
+def assert_one_line_refusal(flag, argv, tmp_path, **env):
+    """Exit 1 with one line on stderr (beside any import-time log) that
+    starts with ``flag``, and no file; returns the process."""
+    proc = run_fresh(argv, tmp_path, **env)
+    lines = [line for line in proc.stderr.splitlines() if not line.startswith("import time:")]
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith(f"magictrap: {flag}")
-    assert len(proc.stderr.splitlines()) == 1
+    assert len(lines) == 1 and lines[0].startswith(f"magictrap: {flag}"), lines
     assert list(tmp_path.iterdir()) == []
+    return proc
 
 
 @pytest.mark.parametrize("command, name, inside, outside", [

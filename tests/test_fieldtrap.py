@@ -44,11 +44,6 @@ class TestIntensity:
                     val = intensity_at(field, geom, float(r), float(z))
                     assert 0.0 <= val <= peak * (1 + 1e-12)
 
-    def test_mirror_loss_scales_contrast(self):
-        field = FieldConfig(813e-9, intensity_w_m2=1e8)
-        lossy = Lattice1D(30e-6, mirror_loss=0.9)
-        assert intensity_at(field, lossy, 0, 0) == pytest.approx(0.9 * 4e8, rel=1e-12)
-
     def test_rayleigh_consistency_enforced(self):
         derived = GaussianBeam(24e-6).rayleigh_range(852e-9)
         assert derived == pytest.approx(math.pi * (24e-6) ** 2 / 852e-9, rel=1e-12)

@@ -138,7 +138,7 @@ LOADS = [
     (SIDEBANDS, CLOCK, False, False),
     (["aggregate", str(data_dir() / "sr87_measurements.csv")], CLOCK, False, False),
     (["cavity-spectrum", *CAVITY, "--nmax", "3", "--points", "5", "--g2"],
-     ["cavityqed", "constants"], False, True),
+     ["cavityqed", "constants", "pairwise"], False, True),  # pairwise builds the probe grid
     (["blockade", *CAVITY, "--nmax", "4"], ["cavityqed", "constants"], False, True),
     (["ladder", "--g0", "1e6hz", "--n", "2"], ["cavityqed", "constants"], False, False),
     ([*CLOCK_LINE, "--points", "2001"], sorted([*CLOCK, "floattext"]), False, True),
